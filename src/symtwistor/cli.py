@@ -296,8 +296,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="symtwistor",
-        description="Exact verification and generation tool for a "
-        "supersymmetric Dirac/twistor operator system.",
+        description="Exact verification and generation tool for the symplectic "
+        "Dirac/twistor system in two position variables and one ordinary "
+        "commuting variable q with [dq, q] = 1.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 _RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 

@@ -306,10 +306,7 @@ def verify_exclusion(n: int, m: int) -> GaussianRational:
     the n-fold raised e^{-q^2/2} (x+iy)^m."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
-    xs = build_xs()
-    s = monogenic_plus(m).change_basis(BasisTag.XY)
-    for _ in range(n):
-        s = xs.apply(s)
+    s = raising_chain(monogenic_plus(m).change_basis(BasisTag.XY), n)[-1]
     out = build_ts_reduced().apply(s)
     return out.coefficient_of(n - 1 + m, 0, n)
 
@@ -352,11 +349,23 @@ def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:
     return MINUS_I * (Fraction(j) * (lam + Fraction(j - 1, 2)))
 
 
+def raising_chain(s: Spinor, n: int) -> List[Spinor]:
+    """[s, X_s s, ..., X_s^n s], in the basis of s."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    chain = [s]
+    if n:
+        xs = named_operator("xs", s.basis)
+        for _ in range(n):
+            chain.append(xs.apply(chain[-1]))
+    return chain
+
+
 def howe_decompose(s: Spinor) -> List[HoweComponent]:
     """Write s = sum_j X_s^j m_j with every m_j in the Dirac kernel.
 
-    Exact peeling: recursively decompose D_s s, divide each layer by its
-    ladder constant, subtract, and verify the reconstruction.
+    Exact peeling (see _peel), then an independent guard: the components,
+    each lifted afresh by raising_chain, must sum back to s.
     """
     if s.is_zero():
         return []
@@ -365,39 +374,41 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
         raise NonHomogeneousError("howe_decompose needs a homogeneous spinor")
     xs = named_operator("xs", s.basis)
     ds = named_operator("ds", s.basis)
-    components = _peel(s, l, xs, ds)
+    components = [comp for comp, _ in _peel(s, l, xs, ds)]
     recon = Spinor.zero(s.basis)
     for comp in components:
-        lifted = comp.monogenic
-        for _ in range(comp.power):
-            lifted = xs.apply(lifted)
-        recon = recon + lifted
+        recon = recon + raising_chain(comp.monogenic, comp.power)[-1]
     if recon != s:
         raise ArithmeticError("decomposition failed to reconstruct the input")
     return components
 
 
-def _peel(s: Spinor, l: int, xs: WeylOperator, ds: WeylOperator) -> List[HoweComponent]:
+def _peel(
+    s: Spinor, l: int, xs: WeylOperator, ds: WeylOperator
+) -> List[Tuple[HoweComponent, Spinor]]:
+    """(component, X_s^power applied to its monogenic part) pairs summing to s.
+
+    Recursively peels D_s s. A lower pair (m, X_s^p m) becomes m/c at power
+    p+1, c its ladder constant, whose image is X_s (X_s^p m)/c: one raising
+    step per component and layer. What is left after subtracting the
+    images is the power-0 layer.
+    """
     image = ds.apply(s)
     if image.is_zero():
-        return [HoweComponent(l, 0, s)]
-    lower = _peel(image, l - 1, xs, ds)
-    components: List[HoweComponent] = []
+        return [(HoweComponent(l, 0, s), s)]
+    pairs: List[Tuple[HoweComponent, Spinor]] = []
     remainder = s
-    for comp in lower:
+    for comp, low_lifted in _peel(image, l - 1, xs, ds):
         j = comp.power + 1
-        constant = ladder_constant(comp.homogeneity, j)
-        m_j = comp.monogenic.scale(constant.inverse())
-        components.append(HoweComponent(comp.homogeneity, j, m_j))
-        lifted = m_j
-        for _ in range(j):
-            lifted = xs.apply(lifted)
+        inv = ladder_constant(comp.homogeneity, j).inverse()
+        lifted = xs.apply(low_lifted).scale(inv)
+        pairs.append((HoweComponent(comp.homogeneity, j, comp.monogenic.scale(inv)), lifted))
         remainder = remainder - lifted
     if not remainder.is_zero():
         if not ds.apply(remainder).is_zero():
             raise ArithmeticError("peeling left a non-monogenic remainder")
-        components.insert(0, HoweComponent(l, 0, remainder))
-    return components
+        pairs.insert(0, (HoweComponent(l, 0, remainder), remainder))
+    return pairs
 
 
 # ---- independent linear-algebra oracle ----
@@ -414,43 +425,14 @@ def kernel_linear_solve(
     """
     if m < 0 or qmax < 0:
         raise ValueError("m and qmax must be nonnegative")
-    keys = [
-        (e1, k)
+    units = [
+        Spinor.monomial(op.basis, e1, m - e1, QPoly.monomial(k))
         for e1 in range(m + 1)
         for k in range(qmax + 1)
         if parity is None or (k % 2 == 0) == (parity == EVEN)
     ]
-    columns = []
-    coord_index: Dict[Tuple[int, int, int], int] = {}
-    images = []
-    for e1, k in keys:
-        unit = Spinor.monomial(op.basis, e1, m - e1, QPoly.monomial(k))
-        image = op.apply(unit)
-        images.append(image)
-        for (a, b), poly in image.terms.items():
-            for kk, c in enumerate(poly.coeffs):
-                if not c.is_zero() and (a, b, kk) not in coord_index:
-                    coord_index[(a, b, kk)] = len(coord_index)
-    nrows = len(coord_index)
-    for image in images:
-        col = [G(0)] * nrows
-        for (a, b), poly in image.terms.items():
-            for kk, c in enumerate(poly.coeffs):
-                if not c.is_zero():
-                    col[coord_index[(a, b, kk)]] = c
-        columns.append(col)
-    null_vectors = nullspace(columns, nrows)
-    basis = []
-    for vec in null_vectors:
-        terms: Dict[Tuple[int, int], QPoly] = {}
-        for (e1, k), c in zip(keys, vec):
-            if c.is_zero():
-                continue
-            key = (e1, m - e1)
-            add = QPoly.monomial(k, c)
-            prev = terms.get(key)
-            terms[key] = add if prev is None else prev + add
-        basis.append(Spinor(op.basis, terms))
+    columns, nrows = spinor_columns([op.apply(unit) for unit in units])
+    basis = [linear_combination(vec, units) for vec in nullspace(columns, nrows)]
     return KernelFamily(
         homogeneity=m,
         kind=None,
@@ -504,7 +486,57 @@ def rank(columns: Sequence[Sequence[GaussianRational]], nrows: int) -> int:
     return ncols - len(nullspace(columns, nrows))
 
 
-# ---- scalar action helper ----
+def spinor_columns(
+    spinors: Sequence[Spinor],
+) -> Tuple[List[List[GaussianRational]], int]:
+    """Coefficient columns of the spinors over their joint support, and the row count.
+
+    Rows are the (position key, q-power) pairs nonzero in some spinor, in
+    order of first appearance.
+    """
+    rows: Dict[Tuple[Tuple[int, int], int], int] = {}
+    entries = [
+        [
+            (rows.setdefault((key, k), len(rows)), c)
+            for key, poly in s.terms.items()
+            for k, c in enumerate(poly.coeffs)
+            if not c.is_zero()
+        ]
+        for s in spinors
+    ]
+    columns = []
+    for column_entries in entries:
+        col = [G(0)] * len(rows)
+        for row, c in column_entries:
+            col[row] = c
+        columns.append(col)
+    return columns, len(rows)
+
+
+def linear_combination(
+    coeffs: Sequence[GaussianRational], spinors: Sequence[Spinor]
+) -> Spinor:
+    """sum_i coeffs[i] * spinors[i]; the spinors share one basis and are not empty."""
+    out = Spinor.zero(spinors[0].basis)
+    for c, s in zip(coeffs, spinors):
+        if not c.is_zero():
+            out = out + s.scale(c)
+    return out
+
+
+# ---- scalar action ----
+
+
+def ratio_at_leading(a: Spinor, b: Spinor) -> Optional[GaussianRational]:
+    """a's coefficient over b's at b's first nonzero (key, q-power); None if b is zero.
+
+    Keys are taken in sorted order. If a = c*b for some scalar c, this is c.
+    """
+    if b.is_zero():
+        return None
+    key = min(b.terms)
+    k, c = next((k, c) for k, c in enumerate(b.terms[key].coeffs) if not c.is_zero())
+    return a.terms.get(key, QPoly()).coefficient(k) / c
 
 
 def scalar_action(op: WeylOperator, s: Spinor) -> Optional[GaussianRational]:
@@ -514,16 +546,8 @@ def scalar_action(op: WeylOperator, s: Spinor) -> Optional[GaussianRational]:
     image = op.apply(s)
     if image.is_zero():
         return G(0)
-    for key in sorted(s.terms):
-        poly = s.terms[key]
-        for k, c in enumerate(poly.coeffs):
-            if not c.is_zero():
-                target = image.terms.get(key)
-                if target is None:
-                    return None
-                candidate = target.coefficient(k) / c
-                return candidate if image == s.scale(candidate) else None
-    return None
+    candidate = ratio_at_leading(image, s)
+    return candidate if image == s.scale(candidate) else None
 
 
 # ---- holomorphic family ----

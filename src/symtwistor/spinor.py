@@ -394,6 +394,3 @@ def _expand_power(img: dict, n: int) -> dict:
         for k in range(n + 1)
     }
 
-
-def spinor_change_basis(s: Spinor, target: BasisTag) -> Spinor:
-    return s.change_basis(target)

@@ -26,7 +26,6 @@ from .operators import (
     build_rho_h,
     build_rho_x,
     build_rho_y,
-    build_ts_component2,
     build_ts_reduced,
     build_xs,
     named_operator,
@@ -143,14 +142,23 @@ def run_suite(name: str, checks: Optional[List[Check]] = None) -> VerificationRe
     return VerificationReport(name, tuple(results))
 
 
-def _expect_equal(actual, expected) -> Optional[str]:
-    if actual == expected:
-        return None
-    return f"expected {expected}, got {actual}"
+def _identity(
+    id: str,
+    anchor: str,
+    criterion: Optional[int],
+    residual: Callable[[], WeylOperator],
+) -> None:
+    """Register an algebra check that passes when residual() is the zero operator.
 
+    Residuals name the builders of this module, looked up at call time, so
+    a replaced builder reaches every check that uses it.
+    """
 
-def _expect_zero_op(op: WeylOperator) -> Optional[str]:
-    return None if op.is_zero() else f"nonzero remainder {op}"
+    def check() -> Optional[str]:
+        op = residual()
+        return None if op.is_zero() else f"nonzero remainder {op}"
+
+    _CHECKS.append(Check(id, anchor, "algebra", criterion, check))
 
 
 # ======================================================================
@@ -158,16 +166,10 @@ def _expect_zero_op(op: WeylOperator) -> Optional[str]:
 # ======================================================================
 
 
-@_check("sl2.euler-ds", "[E+1, D_s] = -D_s", "algebra", 1)
-def _sl2_euler_ds() -> Optional[str]:
-    ds, e1 = build_ds(), build_euler() + 1
-    return _expect_zero_op(e1.commutator(ds) + ds)
-
-
-@_check("sl2.euler-xs", "[E+1, X_s] = X_s", "algebra", 1)
-def _sl2_euler_xs() -> Optional[str]:
-    xs, e1 = build_xs(), build_euler() + 1
-    return _expect_zero_op(e1.commutator(xs) - xs)
+_identity("sl2.euler-ds", "[E+1, D_s] = -D_s", 1,
+          lambda: (build_euler() + 1).commutator(build_ds()) + build_ds())
+_identity("sl2.euler-xs", "[E+1, X_s] = X_s", 1,
+          lambda: (build_euler() + 1).commutator(build_xs()) - build_xs())
 
 
 @_check("sl2.ds-xs", "[D_s, X_s] = E+1", "algebra", 1)
@@ -181,60 +183,21 @@ def _sl2_ds_xs() -> Optional[str]:
     return f"commutator is {actual}, not E+1"
 
 
-@_check("mp2.x-y", "[rhoX, rhoY] = rhoH", "algebra", 1)
-def _mp2_xy() -> Optional[str]:
-    return _expect_zero_op(build_rho_x().commutator(build_rho_y()) - build_rho_h())
-
-
-@_check("mp2.h-x", "[rhoH, rhoX] = 2 rhoX", "algebra", 1)
-def _mp2_hx() -> Optional[str]:
-    return _expect_zero_op(
-        build_rho_h().commutator(build_rho_x()) - build_rho_x().scale(2)
-    )
-
-
-@_check("mp2.h-y", "[rhoH, rhoY] = -2 rhoY", "algebra", 1)
-def _mp2_hy() -> Optional[str]:
-    return _expect_zero_op(
-        build_rho_h().commutator(build_rho_y()) + build_rho_y().scale(2)
-    )
-
-
-def _cross_check(a_name: str, b_name: str) -> Optional[str]:
-    a = named_operator(a_name)
-    b = named_operator(b_name)
-    return _expect_zero_op(a.commutator(b))
-
-
+_identity("mp2.x-y", "[rhoX, rhoY] = rhoH", 1,
+          lambda: build_rho_x().commutator(build_rho_y()) - build_rho_h())
+_identity("mp2.h-x", "[rhoH, rhoX] = 2 rhoX", 1,
+          lambda: build_rho_h().commutator(build_rho_x()) - build_rho_x().scale(2))
+_identity("mp2.h-y", "[rhoH, rhoY] = -2 rhoY", 1,
+          lambda: build_rho_h().commutator(build_rho_y()) + build_rho_y().scale(2))
 for _a in ("xs", "ds"):
     for _b in ("rhoX", "rhoY", "rhoH"):
-
-        def _make(a=_a, b=_b):
-            return lambda: _cross_check(a, b)
-
-        _CHECKS.append(
-            Check(
-                f"cross.{_a}-{_b}",
-                f"[{_a}, {_b}] = 0",
-                "algebra",
-                1,
-                _make(),
-            )
-        )
-
-
-@_check(
-    "casimir.expansion",
-    "rhoH^2 + 1 + 2 rhoX rhoY + 2 rhoY rhoX equals its expanded xy display",
-    "algebra",
-    1,
-)
-def _casimir_expansion() -> Optional[str]:
-    expanded = parse_operator(
-        "x^2*dx^2 + y^2*dy^2 + 2*x*dx + 4*y*dy + 2*x*y*dx*dy + 1/4"
-        " - 2*x*q*dx*dq + 2*y*q*dy*dq + 2*i*y*dx*dq^2 + 2*i*x*q^2*dy"
-    )
-    return _expect_zero_op(build_casimir() - expanded)
+        _identity(f"cross.{_a}-{_b}", f"[{_a}, {_b}] = 0", 1,
+                  lambda a=_a, b=_b: named_operator(a).commutator(named_operator(b)))
+_identity("casimir.expansion",
+          "rhoH^2 + 1 + 2 rhoX rhoY + 2 rhoY rhoX equals its expanded xy display", 1,
+          lambda: build_casimir() - parse_operator(
+              "x^2*dx^2 + y^2*dy^2 + 2*x*dx + 4*y*dy + 2*x*y*dx*dy + 1/4"
+              " - 2*x*q*dx*dq + 2*y*q*dy*dq + 2*i*y*dx*dq^2 + 2*i*x*q^2*dy"))
 
 
 @_check(
@@ -259,17 +222,14 @@ def _casimir_central() -> Optional[str]:
 )
 def _casimir_scalar() -> Optional[str]:
     cas_z = named_operator("casimir", ZZ)
-    xs_z = named_operator("xs", ZZ)
     for make, tag in ((ker.monogenic_plus, "plus"), (ker.monogenic_minus, "minus")):
         for l in range(4):
-            base = make(l)
-            c0 = ker.scalar_action(cas_z, base)
+            chain = ker.raising_chain(make(l), 4 - l)
+            c0 = ker.scalar_action(cas_z, chain[0])
             if c0 is None:
                 return f"not scalar on {tag} monogenic l={l}"
-            vec = base
             for j in range(1, 5 - l):
-                vec = xs_z.apply(vec)
-                c = ker.scalar_action(cas_z, vec)
+                c = ker.scalar_action(cas_z, chain[j])
                 if c != c0:
                     return (
                         f"scalar drifts on component ({tag}, l={l}): {c0} vs {c} at j={j}"
@@ -277,41 +237,20 @@ def _casimir_scalar() -> Optional[str]:
     return None
 
 
-@_check("zbasis.xs", "converted X_s equals its zzbar display (constant 1)", "algebra", 2)
-def _zbasis_xs() -> Optional[str]:
-    expected = parse_operator("(1/2)*i*((q - dq)*z + (q + dq)*zbar)")
-    return _expect_zero_op(build_xs().change_basis(ZZ) - expected)
-
-
-@_check("zbasis.ds", "converted D_s equals its zzbar display (constant 1)", "algebra", 2)
-def _zbasis_ds() -> Optional[str]:
-    expected = -parse_operator("(q + dq)*dz + (-q + dq)*dzbar")
-    return _expect_zero_op(build_ds().change_basis(ZZ) - expected)
-
-
-@_check(
-    "zbasis.ts",
-    "converted first twistor component equals its zzbar display (constant 1)",
-    "algebra",
-    2,
-)
-def _zbasis_ts() -> Optional[str]:
-    expected = parse_operator("(1 - q*dq - q^2)*dz + (1 - q*dq + q^2)*dzbar")
-    return _expect_zero_op(build_ts_reduced().change_basis(ZZ) - expected)
-
-
-@_check(
-    "zbasis.ds2",
-    "D_s composed with itself equals the quadratic zzbar display",
-    "algebra",
-    None,
-)
-def _zbasis_ds2() -> Optional[str]:
-    expected = parse_operator(
-        "(q^2 + 2*q*dq + 1 + dq^2)*dz^2 + 2*(-q^2 + dq^2)*dz*dzbar"
-        " + (q^2 - 2*q*dq - 1 + dq^2)*dzbar^2"
-    )
-    return _expect_zero_op(build_ds_squared() - expected)
+_identity("zbasis.xs", "converted X_s equals its zzbar display (constant 1)", 2,
+          lambda: build_xs().change_basis(ZZ)
+          - parse_operator("(1/2)*i*((q - dq)*z + (q + dq)*zbar)"))
+_identity("zbasis.ds", "converted D_s equals its zzbar display (constant 1)", 2,
+          lambda: build_ds().change_basis(ZZ)
+          + parse_operator("(q + dq)*dz + (-q + dq)*dzbar"))
+_identity("zbasis.ts",
+          "converted first twistor component equals its zzbar display (constant 1)", 2,
+          lambda: build_ts_reduced().change_basis(ZZ)
+          - parse_operator("(1 - q*dq - q^2)*dz + (1 - q*dq + q^2)*dzbar"))
+_identity("zbasis.ds2", "D_s composed with itself equals the quadratic zzbar display", None,
+          lambda: build_ds_squared() - parse_operator(
+              "(q^2 + 2*q*dq + 1 + dq^2)*dz^2 + 2*(-q^2 + dq^2)*dz*dzbar"
+              " + (q^2 - 2*q*dq - 1 + dq^2)*dzbar^2"))
 
 
 @_check(
@@ -338,13 +277,6 @@ def _vacuum(shift: int = 0) -> Spinor:
     return Spinor.monomial(XY, 0, 0, QPoly.monomial(shift))
 
 
-def _xs_power_on(s: Spinor, n: int) -> Spinor:
-    xs = named_operator("xs", s.basis)
-    for _ in range(n):
-        s = xs.apply(s)
-    return s
-
-
 @_check(
     "displays.xs-on-constants",
     "X_s images of the two constant spinors match their displays",
@@ -352,11 +284,11 @@ def _xs_power_on(s: Spinor, n: int) -> Spinor:
     3,
 )
 def _displays_xs_constants() -> Optional[str]:
-    got_even = _xs_power_on(_vacuum(), 1)
+    got_even = ker.raising_chain(_vacuum(), 1)[1]
     want_even = Spinor(XY, {(1, 0): QPoly([0, I]), (0, 1): QPoly([0, -1])})
     if got_even != want_even:
         return f"X_s on the even constant gave {got_even}"
-    got_odd = _xs_power_on(_vacuum(1), 1)
+    got_odd = ker.raising_chain(_vacuum(1), 1)[1]
     want_odd = Spinor(XY, {(1, 0): QPoly([0, 0, I]), (0, 1): QPoly([1, 0, -1])})
     if got_odd != want_odd:
         return f"X_s on the odd constant gave {got_odd}"
@@ -395,8 +327,9 @@ def _displays_ts_xs_powers() -> Optional[str]:
             },
         ),
     }
+    chains = {shift: ker.raising_chain(_vacuum(shift), 3) for shift in (0, 1)}
     for (n, shift), want in sorted(expected.items()):
-        got = ts.apply(_xs_power_on(_vacuum(shift), n))
+        got = ts.apply(chains[shift][n])
         if got != want:
             return f"n={n}, q-shift={shift}: got {got}"
     return None
@@ -580,15 +513,9 @@ _TWISTOR_DISPLAYS_Z = {
 def _twistor_basis_displays() -> Optional[str]:
     xs_z = named_operator("xs", ZZ)
     for m, display in _TWISTOR_DISPLAYS_Z.items():
-        image = xs_z.apply(ker.monogenic_minus(m - 1))
-        scalar = None
-        for key in sorted(image.terms):
-            for k, c in enumerate(image.terms[key].coeffs):
-                if not c.is_zero():
-                    scalar = display.terms[key].coefficient(k) / c
-                    break
-            if scalar is not None:
-                break
+        base = ker.monogenic_minus(m - 1)
+        image = xs_z.apply(base)
+        scalar = ker.ratio_at_leading(display, image)
         if scalar is None or scalar.is_zero():
             return f"m={m}: no scalar relates the display to the raised element"
         if image.scale(scalar) != display:
@@ -597,17 +524,7 @@ def _twistor_basis_displays() -> Optional[str]:
         if len(comps) != 1 or comps[0].power != 1 or comps[0].homogeneity != m - 1:
             return f"m={m}: peeling gave {[(c.homogeneity, c.power) for c in comps]}"
         mono = comps[0].monogenic
-        base = ker.monogenic_minus(m - 1)
-        lead = None
-        for key in sorted(base.terms):
-            for k, c in enumerate(base.terms[key].coeffs):
-                if not c.is_zero():
-                    lead = (key, k, c)
-                    break
-            if lead:
-                break
-        key, k, c = lead
-        factor = mono.terms.get(key, QPoly()).coefficient(k) / c
+        factor = ker.ratio_at_leading(mono, base)
         if factor.is_zero() or base.scale(factor) != mono:
             return f"m={m}: peeled layer is not proportional to the canonical element"
     return None
@@ -681,28 +598,10 @@ def _random_twistor_in_ds2() -> Optional[str]:
     return None
 
 
-def _spinor_columns(spinors: List[Spinor]):
-    coords: Dict[Tuple[Tuple[int, int], int], int] = {}
-    for s in spinors:
-        for key in sorted(s.terms):
-            for k, c in enumerate(s.terms[key].coeffs):
-                if not c.is_zero() and (key, k) not in coords:
-                    coords[(key, k)] = len(coords)
-    cols = []
-    for s in spinors:
-        col = [G(0)] * len(coords)
-        for key, poly in s.terms.items():
-            for k, c in enumerate(poly.coeffs):
-                if not c.is_zero():
-                    col[coords[(key, k)]] = c
-        cols.append(col)
-    return cols, len(coords)
-
-
 def _spans_equal(a: List[Spinor], b: List[Spinor]) -> bool:
     if not a and not b:
         return True
-    cols, n = _spinor_columns(a + b)
+    cols, n = ker.spinor_columns(a + b)
     return (
         ker.rank(cols[: len(a)], n)
         == ker.rank(cols[len(a) :], n)
@@ -727,13 +626,10 @@ def _recursion_exact_span(kind: ker.RecursionKind, m: int, qmax: int) -> List[Sp
         family = ker.solve_recursion(kind, m, QPoly.monomial(j), qmax)
         if family.basis:
             add(family.basis[0])
-    rcols, rn = _spinor_columns(residuals)
+    rcols, rn = ker.spinor_columns(residuals)
     exact: List[Spinor] = []
     for combo in ker.nullspace(rcols, rn):
-        s = Spinor.zero(ZZ)
-        for c, el in zip(combo, elements):
-            if not c.is_zero():
-                s = s + el.scale(c)
+        s = ker.linear_combination(combo, elements)
         if not s.is_zero():
             exact.append(s)
     return exact
@@ -784,7 +680,6 @@ def _howe_roundtrip() -> Optional[str]:
             continue
         comps = ker.howe_decompose(s)  # reconstruction is asserted inside
         ds = named_operator("ds", basis)
-        xs = named_operator("xs", basis)
         recon = Spinor.zero(basis)
         powers = set()
         for comp in comps:
@@ -795,10 +690,7 @@ def _howe_roundtrip() -> Optional[str]:
                 return f"trial {trial}: layer degrees do not add up"
             if not ds.apply(comp.monogenic).is_zero():
                 return f"trial {trial}: layer j={comp.power} is not in the Dirac kernel"
-            lifted = comp.monogenic
-            for _ in range(comp.power):
-                lifted = xs.apply(lifted)
-            recon = recon + lifted
+            recon = recon + ker.raising_chain(comp.monogenic, comp.power)[-1]
         if recon != s:
             return f"trial {trial}: reconstruction mismatch"
     return None
@@ -811,7 +703,6 @@ def _howe_roundtrip() -> Optional[str]:
     None,
 )
 def _ladder_constants() -> Optional[str]:
-    xs_z = named_operator("xs", ZZ)
     ds_z = named_operator("ds", ZZ)
     samples = [
         ker.monogenic_plus(0),
@@ -822,13 +713,9 @@ def _ladder_constants() -> Optional[str]:
     ]
     for mono in samples:
         l = mono.homogeneity()
-        lifted = mono
+        chain = ker.raising_chain(mono, 4)
         for j in range(1, 5):
-            lifted = xs_z.apply(lifted)
-            prev = mono
-            for _ in range(j - 1):
-                prev = xs_z.apply(prev)
-            if ds_z.apply(lifted) != prev.scale(ker.ladder_constant(l, j)):
+            if ds_z.apply(chain[j]) != chain[j - 1].scale(ker.ladder_constant(l, j)):
                 return f"l={l}, j={j}: ladder constant mismatch"
     return None
 

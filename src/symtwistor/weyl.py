@@ -346,24 +346,3 @@ def _generator_images(source: BasisTag, target: BasisTag) -> list:
         ]
     raise ValueError(f"no substitution from {source} to {target}")
 
-
-def compose(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    return a.compose(b)
-
-
-def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    return a.commutator(b)
-
-
-def change_basis(op: WeylOperator, target: BasisTag) -> WeylOperator:
-    return op.change_basis(target)
-
-
-def apply(op: WeylOperator, spinor):
-    return op.apply(spinor)
-
-
-def parse_operator(text: str, basis: BasisTag | None = None) -> WeylOperator:
-    from .parsing import parse_operator as _parse
-
-    return _parse(text, basis)

@@ -100,6 +100,72 @@ def test_ds_xs_witness_names_minus_i_only_when_true(capsys, monkeypatch):
     )
 
 
+# every registered check as (id, suite, criterion, anchor), in registration order
+REGISTRY = [
+    ("sl2.euler-ds", "algebra", 1, "[E+1, D_s] = -D_s"),
+    ("sl2.euler-xs", "algebra", 1, "[E+1, X_s] = X_s"),
+    ("sl2.ds-xs", "algebra", 1, "[D_s, X_s] = E+1"),
+    ("mp2.x-y", "algebra", 1, "[rhoX, rhoY] = rhoH"),
+    ("mp2.h-x", "algebra", 1, "[rhoH, rhoX] = 2 rhoX"),
+    ("mp2.h-y", "algebra", 1, "[rhoH, rhoY] = -2 rhoY"),
+    ("cross.xs-rhoX", "algebra", 1, "[xs, rhoX] = 0"),
+    ("cross.xs-rhoY", "algebra", 1, "[xs, rhoY] = 0"),
+    ("cross.xs-rhoH", "algebra", 1, "[xs, rhoH] = 0"),
+    ("cross.ds-rhoX", "algebra", 1, "[ds, rhoX] = 0"),
+    ("cross.ds-rhoY", "algebra", 1, "[ds, rhoY] = 0"),
+    ("cross.ds-rhoH", "algebra", 1, "[ds, rhoH] = 0"),
+    ("casimir.expansion", "algebra", 1, "rhoH^2 + 1 + 2 rhoX rhoY + 2 rhoY rhoX equals its expanded xy display"),
+    ("casimir.central", "algebra", None, "the Casimir commutes with xs, ds, rhoX, rhoY, rhoH"),
+    ("casimir.scalar", "algebra", None, "the Casimir acts by one scalar on each raised Dirac-kernel component (l+j <= 4)"),
+    ("zbasis.xs", "algebra", 2, "converted X_s equals its zzbar display (constant 1)"),
+    ("zbasis.ds", "algebra", 2, "converted D_s equals its zzbar display (constant 1)"),
+    ("zbasis.ts", "algebra", 2, "converted first twistor component equals its zzbar display (constant 1)"),
+    ("zbasis.ds2", "algebra", None, "D_s composed with itself equals the quadratic zzbar display"),
+    ("weyl.roundtrip", "algebra", None, "xy -> zzbar -> xy is the identity on every registry operator"),
+    ("displays.xs-on-constants", "kernels", 3, "X_s images of the two constant spinors match their displays"),
+    ("displays.ts-xs-powers", "kernels", 3, "first twistor component of X_s^n on both constant spinors matches, n = 0..3"),
+    ("exclusion.sweep", "kernels", 4, "leading exclusion coefficient equals -i^n (n+2m)(n-1)/2 for 2<=n<=8, 0<=m<=4"),
+    ("minus-exclusion.values", "kernels", None, "q^3 zbar^(m-1) coefficient of the twisted odd element is 2m/3 for m <= 6, zero case at m = 0"),
+    ("monogenic-minus.family", "kernels", 5, "odd Dirac-kernel elements: annihilated, q-degree 2m+1, top coefficient 2^m/(2m+1)!!, m <= 8"),
+    ("monogenic-minus.displays", "kernels", 5, "odd Dirac-kernel elements match their m = 1, 2, 3 displays in both bases"),
+    ("twistor-basis.annihilation", "kernels", 6, "both twistor-kernel elements are killed by both twistor components and the squared Dirac operator, m <= 8"),
+    ("twistor-basis.displays", "kernels", 6, "displayed even twistor solutions m = 1, 2, 3 peel to one raised odd Dirac-kernel layer"),
+    ("random.ds-odd-to-twistor", "kernels", 7, "50 random odd Dirac-relation solutions (m <= 5) land in the twistor kernel after raising"),
+    ("random.twistor-in-ds2", "kernels", 7, "50 random twistor-kernel members (m <= 5) lie in the squared-Dirac kernel"),
+    ("oracle.recursion-vs-linear", "kernels", 8, "recursion solutions and the exact linear-algebra kernel span the same space, all kinds, m <= 4"),
+    ("howe.roundtrip", "kernels", 10, "100 random homogeneous spinors (l <= 4, q-degree <= 5) peel into Dirac-kernel layers and reassemble"),
+    ("ladder.constants", "kernels", None, "D_s X_s^j m = -i j (lambda + (j-1)/2) X_s^(j-1) m on sample Dirac-kernel elements"),
+    ("holomorphic.family", "kernels", 11, "q e^{-q^2/2} z^n is twistor-annihilated for n <= 10"),
+    ("holomorphic.ode", "kernels", 11, "f = q e^{-q^2/2} solves (1 - q^2) f = q f' as a weighted identity"),
+    ("a-table.match", "combinatorics", 9, "recurrence table equals the normal-ordered raising-power expansion, n <= 12"),
+    ("a-table.closed-rows", "combinatorics", 9, "A^n_{0k} = C(n,k) and A^n_{1,n-2} = n(n-1)/2, n <= 12"),
+    ("stirling.match", "combinatorics", 9, "stirling recurrence equals the normal-ordered (q dq)^n expansion, n <= 12, with s(4,2) = 7"),
+    ("stirling-tilde.structure", "combinatorics", 9, "marked expansion of (q+dq)^n: support, binomial r=0 slice, collapse at qt=1, 4-term recursion, n <= 12"),
+    ("stirling-tilde.displays", "combinatorics", 9, "(q+dq)^2 and (q+dq)^3 marked expansions match their displays"),
+]
+
+
+def test_check_registry_is_pinned():
+    from symtwistor.verify import all_checks
+
+    got = [(c.id, c.suite, c.criterion, c.anchor) for c in all_checks()]
+    assert got == REGISTRY
+
+
+def test_twistor_display_without_leading_monomial_gives_witness(monkeypatch):
+    # the display lacks the (0, 1) term where the raised element leads;
+    # the check must report that, not raise KeyError and abort the report
+    import symtwistor.verify as verify_mod
+
+    display = Spinor(ZZ, {(1, 0): QPoly([-1, 0, 2])})
+    monkeypatch.setitem(verify_mod._TWISTOR_DISPLAYS_Z, 1, display)
+    checks = [c for c in verify_mod.all_checks() if c.id == "twistor-basis.displays"]
+    report = verify_mod.run_suite("kernels", checks=checks)
+    assert [(r.status, r.witness) for r in report.results] == [
+        ("fail", "m=1: no scalar relates the display to the raised element")
+    ]
+
+
 # ---- generate ----
 
 

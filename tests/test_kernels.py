@@ -14,10 +14,16 @@ from symtwistor.kernels import (
     howe_decompose,
     kernel_linear_solve,
     ladder_constant,
+    linear_combination,
     monogenic_minus,
     monogenic_plus,
+    nullspace,
     operator_for_kind,
+    raising_chain,
+    rank,
+    ratio_at_leading,
     scalar_action,
+    spinor_columns,
     solve_recursion,
     twistor_kernel_basis,
     verify_exclusion,
@@ -252,24 +258,6 @@ def test_kernel_linear_solve_members_are_killed():
         assert (element.q_degree() or 0) <= 5
 
 
-def _columns(spinors):
-    coords = {}
-    for s in spinors:
-        for key in sorted(s.terms):
-            for k, c in enumerate(s.terms[key].coeffs):
-                if not c.is_zero() and (key, k) not in coords:
-                    coords[(key, k)] = len(coords)
-    cols = []
-    for s in spinors:
-        col = [G(0)] * len(coords)
-        for key, poly in s.terms.items():
-            for k, c in enumerate(poly.coeffs):
-                if not c.is_zero():
-                    col[coords[(key, k)]] = c
-        cols.append(col)
-    return cols, len(coords)
-
-
 def test_kernel_linear_solve_parity_filter():
     ds_z = named_operator("ds", ZZ)
     fam = kernel_linear_solve(ds_z, 1, 5, parity=ODD)
@@ -277,11 +265,53 @@ def test_kernel_linear_solve_parity_filter():
     full = kernel_linear_solve(ds_z, 1, 5)
     assert len(fam.basis) < len(full.basis)
     # the canonical odd element lies in the computed span
-    from symtwistor.kernels import rank
-
     with_member = list(fam.basis) + [monogenic_minus(1)]
-    cols, n = _columns(with_member)
+    cols, n = spinor_columns(with_member)
     assert rank(cols, n) == rank(cols[:-1], n)
+
+
+# ---- shared spinor helpers ----
+
+
+@pytest.mark.parametrize("basis", [XY, ZZ])
+def test_raising_chain_applies_xs_once_per_step(basis):
+    s = Spinor.monomial(basis, 1, 0, QPoly([1, 0, G(0, 2)]))
+    assert raising_chain(s, 0) == [s]
+    xs = named_operator("xs", basis)
+    chain = raising_chain(s, 3)
+    assert len(chain) == 4 and chain[0] == s
+    for j in range(1, 4):
+        assert chain[j] == xs.apply(chain[j - 1])
+    with pytest.raises(ValueError):
+        raising_chain(s, -1)
+
+
+def test_linear_combination_of_unit_vector_is_that_spinor():
+    spinors = [monogenic_plus(1), monogenic_minus(1), Spinor.monomial(ZZ, 0, 1, [0, 0, 3])]
+    for i, s in enumerate(spinors):
+        unit = [G(1) if j == i else G(0) for j in range(len(spinors))]
+        assert linear_combination(unit, spinors) == s
+
+
+def test_spinor_columns_nullspace_recovers_planted_dependency():
+    a = monogenic_minus(2)
+    b = Spinor.monomial(ZZ, 1, 1, [1, 0, G(0, 2)])
+    c = a.scale(3) - b.scale(G(0, 1))  # 3a - i*b - c = 0
+    cols, nrows = spinor_columns([a, b, c])
+    assert nrows == 8  # support of a (6 coefficients) and b (2 more)
+    (vec,) = nullspace(cols, nrows)
+    assert vec == [G(-3), G(0, 1), G(1)]
+    assert linear_combination(vec, [a, b, c]).is_zero()
+
+
+def test_ratio_at_leading():
+    b = monogenic_minus(2)
+    c = G(Fraction(-3, 4), 2)
+    assert ratio_at_leading(b.scale(c), b) == c
+    # b leads at key (0, 2), power q^1: other terms of a do not count
+    assert ratio_at_leading(b.scale(c) + Spinor.monomial(ZZ, 2, 0, [0, 5]), b) == c
+    assert ratio_at_leading(monogenic_plus(2), b) == 0
+    assert ratio_at_leading(b, Spinor.zero(ZZ)) is None
 
 
 # ---- scalar action ----
