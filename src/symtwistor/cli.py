@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from . import __version__
 from .weyl import BasisTag
 from .spinor import Spinor
-from .parsing import OperatorSyntaxError, parse_operator
+from .parsing import parse_operator
 from . import combinatorics as comb_mod
 from .kernels import (
     howe_decompose,
@@ -104,6 +104,8 @@ def _cmd_generate(args) -> Tuple[int, str]:
     if args.m < 0:
         raise ValueError("m must be nonnegative")
     if args.kind == "monogenic+":
+        if args.qmax is not None:
+            raise ValueError("--qmax applies only to monogenic- and twistor")
         spinors = [monogenic_plus(args.m)]
     elif args.kind == "monogenic-":
         spinors = [monogenic_minus(args.m, args.qmax)]
@@ -270,28 +272,24 @@ def _cmd_tables(args) -> Tuple[int, str]:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--basis",
-        choices=["xy", "zzbar"],
-        default=None,
-        help="coordinate basis for input interpretation and output",
-    )
-    common.add_argument(
         "--format",
         choices=["json", "latex", "text"],
         default="text",
         help="output rendering (default: text)",
     )
     common.add_argument(
-        "--qmax",
-        type=int,
-        default=None,
-        help="truncation bound override for kernel-family construction",
-    )
-    common.add_argument(
         "--output",
         default=None,
         metavar="PATH",
         help="write output to PATH instead of stdout",
+    )
+
+    basis = argparse.ArgumentParser(add_help=False)
+    basis.add_argument(
+        "--basis",
+        choices=[tag.value for tag in BasisTag],
+        default=None,
+        help="coordinate basis for input interpretation and output",
     )
 
     parser = argparse.ArgumentParser(
@@ -310,14 +308,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser(
-        "generate", parents=[common], help="emit a canonical kernel representative"
+        "generate",
+        parents=[common, basis],
+        help="emit a canonical kernel representative",
     )
     p.add_argument("kind", choices=["monogenic+", "monogenic-", "twistor"])
     p.add_argument("m", type=int, help="homogeneity degree (nonnegative)")
+    p.add_argument(
+        "--qmax",
+        type=int,
+        default=None,
+        help="truncation bound override for monogenic- and twistor",
+    )
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser(
-        "apply", parents=[common], help="apply an operator expression to a spinor file"
+        "apply", parents=[common, basis], help="apply an operator expression to a spinor file"
     )
     p.add_argument("op_expr", help="operator expression, e.g. 'dx - q*dq*dx + i*q^2*dy'")
     p.add_argument("spinor_file", help="spinor JSON path, or - for stdin")
@@ -325,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "decompose",
-        parents=[common],
+        parents=[common, basis],
         help="peel a polynomial spinor into raised Dirac-kernel layers",
     )
     p.add_argument("spinor_file", help="spinor JSON path, or - for stdin")
@@ -348,17 +354,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text = args.fn(args)
-    except OperatorSyntaxError as exc:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return code
+    except (ValueError, OSError) as exc:  # OperatorSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text)
     return code
 
 

@@ -7,9 +7,15 @@ Grammar (tightest first):
     expr    := term (("+" | "-") term)*
     primary := INT ["/" INT] | IDENT | "(" expr ")"
 
-Identifiers: x y q dx dy dq (xy basis), z zbar dz dzbar (zzbar basis),
-i (imaginary unit). "/" is only the rational-literal separator, never an
+Identifiers: the generator names of weyl.GENERATOR_NAMES (x y q dx dy dq
+in the xy basis, z zbar q dz dzbar dq in the zzbar basis) and i (the
+imaginary unit). "/" is only the rational-literal separator, never an
 operator. Juxtaposition is not multiplication: "2q" is a syntax error.
+
+An expression has one basis: that of its first identifier that is a
+generator of one basis only, or xy when there is none (q, dq, i and
+numbers name no basis). Every operand is built in that basis, and a
+generator of the other basis is a syntax error where it is reached.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import GaussianRational
-from .weyl import BasisTag, WeylOperator
+from .weyl import GENERATOR_NAMES, BasisTag, WeylOperator
 
 
 class OperatorSyntaxError(ValueError):
@@ -35,10 +41,6 @@ class UnknownSymbolError(OperatorSyntaxError):
         super().__init__(f"unknown symbol {name!r}", position)
         self.name = name
 
-
-_XY_ONLY = {"x", "y", "dx", "dy"}
-_ZZ_ONLY = {"z", "zbar", "dz", "dzbar"}
-_NEUTRAL = {"q", "dq"}
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -78,8 +80,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
-        self.seen_xy = False
-        self.seen_zz = False
+        self.basis = _expression_basis(self.tokens)
 
     def peek(self) -> _Token | None:
         if self.index < len(self.tokens):
@@ -93,25 +94,14 @@ class _Parser:
         self.index += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            at = tok.position if tok else len(self.text)
-            got = f"{tok.text!r}" if tok else "end of expression"
-            raise OperatorSyntaxError(f"expected {kind!r}, got {got}", at)
-        return self.advance()
-
-    # operands are built in both bases until a basis-specific generator
-    # fixes the interpretation; _Pending carries the pair along.
-
-    def parse(self) -> "_Pending":
+    def parse(self) -> WeylOperator:
         result = self.parse_expr()
         tok = self.peek()
         if tok is not None:
             raise OperatorSyntaxError(f"unexpected {tok.text!r}", tok.position)
         return result
 
-    def parse_expr(self) -> "_Pending":
+    def parse_expr(self) -> WeylOperator:
         acc = self.parse_term()
         while True:
             tok = self.peek()
@@ -119,9 +109,9 @@ class _Parser:
                 return acc
             self.advance()
             rhs = self.parse_term()
-            acc = acc.combine(rhs, tok.kind, self)
+            acc = acc + rhs if tok.kind == "+" else acc - rhs
 
-    def parse_term(self) -> "_Pending":
+    def parse_term(self) -> WeylOperator:
         acc = self.parse_unary()
         while True:
             tok = self.peek()
@@ -129,16 +119,16 @@ class _Parser:
                 return acc
             self.advance()
             rhs = self.parse_unary()
-            acc = acc.combine(rhs, "*", self)
+            acc = acc.compose(rhs)
 
-    def parse_unary(self) -> "_Pending":
+    def parse_unary(self) -> WeylOperator:
         tok = self.peek()
         if tok is not None and tok.kind == "-":
             self.advance()
-            return self.parse_unary().negate()
+            return -self.parse_unary()
         return self.parse_power()
 
-    def parse_power(self) -> "_Pending":
+    def parse_power(self) -> WeylOperator:
         base = self.parse_primary()
         tok = self.peek()
         if tok is not None and tok.kind == "^":
@@ -148,10 +138,10 @@ class _Parser:
                 at = exp_tok.position if exp_tok else len(self.text)
                 raise OperatorSyntaxError("exponent must be a nonnegative integer", at)
             self.advance()
-            return base.power(int(exp_tok.text))
+            return base ** int(exp_tok.text)
         return base
 
-    def parse_primary(self) -> "_Pending":
+    def parse_primary(self) -> WeylOperator:
         tok = self.peek()
         if tok is None:
             raise OperatorSyntaxError("unexpected end of expression", len(self.text))
@@ -171,7 +161,7 @@ class _Parser:
                 if int(den_tok.text) == 0:
                     raise OperatorSyntaxError("zero denominator", den_tok.position)
                 value = Fraction(int(tok.text), int(den_tok.text))
-            return _Pending.scalar(GaussianRational(value))
+            return WeylOperator.scalar(self.basis, value)
         if tok.kind == "ident":
             self.advance()
             return self.ident_operand(tok)
@@ -186,88 +176,47 @@ class _Parser:
             return inner
         raise OperatorSyntaxError(f"unexpected {tok.text!r}", tok.position)
 
-    def ident_operand(self, tok: _Token) -> "_Pending":
+    def ident_operand(self, tok: _Token) -> WeylOperator:
         name = tok.text
         if name == "i":
-            return _Pending.scalar(GaussianRational(0, 1))
-        if name in _NEUTRAL:
-            return _Pending(
-                WeylOperator.generator(BasisTag.XY, name),
-                WeylOperator.generator(BasisTag.ZZBAR, name),
-            )
-        if name in _XY_ONLY:
-            if self.seen_zz:
-                raise OperatorSyntaxError(
-                    f"{name!r} mixes xy generators into a zzbar expression", tok.position
-                )
-            self.seen_xy = True
-            return _Pending(WeylOperator.generator(BasisTag.XY, name), None)
-        if name in _ZZ_ONLY:
-            if self.seen_xy:
-                raise OperatorSyntaxError(
-                    f"{name!r} mixes zzbar generators into an xy expression", tok.position
-                )
-            self.seen_zz = True
-            return _Pending(None, WeylOperator.generator(BasisTag.ZZBAR, name))
-        raise UnknownSymbolError(name, tok.position)
-
-
-class _Pending:
-    """Operator tracked in whichever bases are still possible."""
-
-    __slots__ = ("xy", "zz")
-
-    def __init__(self, xy: WeylOperator | None, zz: WeylOperator | None):
-        self.xy = xy
-        self.zz = zz
-
-    @staticmethod
-    def scalar(value: GaussianRational) -> "_Pending":
-        return _Pending(
-            WeylOperator.scalar(BasisTag.XY, value),
-            WeylOperator.scalar(BasisTag.ZZBAR, value),
+            return WeylOperator.scalar(self.basis, GaussianRational(0, 1))
+        if name in GENERATOR_NAMES[self.basis]:
+            return WeylOperator.generator(self.basis, name)
+        bases = _generator_bases(name)
+        if not bases:
+            raise UnknownSymbolError(name, tok.position)
+        article = "an" if self.basis is BasisTag.XY else "a"
+        raise OperatorSyntaxError(
+            f"{name!r} mixes {bases[0].value} generators into {article} "
+            f"{self.basis.value} expression",
+            tok.position,
         )
 
-    def combine(self, other: "_Pending", op: str, parser: _Parser) -> "_Pending":
-        def merge(a, b):
-            if a is None or b is None:
-                return None
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            return a.compose(b)
 
-        return _Pending(merge(self.xy, other.xy), merge(self.zz, other.zz))
+def _generator_bases(name: str) -> list[BasisTag]:
+    return [tag for tag in BasisTag if name in GENERATOR_NAMES[tag]]
 
-    def negate(self) -> "_Pending":
-        return _Pending(
-            -self.xy if self.xy is not None else None,
-            -self.zz if self.zz is not None else None,
-        )
 
-    def power(self, exponent: int) -> "_Pending":
-        return _Pending(
-            self.xy**exponent if self.xy is not None else None,
-            self.zz**exponent if self.zz is not None else None,
-        )
+def _expression_basis(tokens: list[_Token]) -> BasisTag:
+    """Basis of the first identifier that is a generator of one basis only; xy if none."""
+    for tok in tokens:
+        if tok.kind == "ident":
+            bases = _generator_bases(tok.text)
+            if len(bases) == 1:
+                return bases[0]
+    return BasisTag.XY
 
 
 def parse_operator(text: str, basis: BasisTag | None = None) -> WeylOperator:
     """Parse text into a WeylOperator.
 
-    The basis is inferred from the generators used (default xy when only
-    q, dq, i, and numbers appear); a mixed expression is a syntax error.
-    When `basis` is given, the parsed operator is converted to it.
+    The basis is that of the first identifier that is a generator of one
+    basis only (x, y, dx, dy or z, zbar, dz, dzbar); it is xy when only
+    q, dq, i and numbers appear. A generator of the other basis raises
+    OperatorSyntaxError at its position. When `basis` is given, the
+    parsed operator is converted to it.
     """
-    parser = _Parser(text)
-    pending = parser.parse()
-    if parser.seen_xy:
-        result = pending.xy
-    elif parser.seen_zz:
-        result = pending.zz
-    else:
-        result = pending.xy  # neutral expressions default to the xy tag
+    result = _Parser(text).parse()
     if basis is not None:
         result = result.change_basis(basis)
     return result

@@ -9,11 +9,11 @@ model, only in renderings. Bases mirror weyl.BasisTag: (x, y) or
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .exactnum import GaussianRational, ScalarLike
-from .weyl import BasisMismatchError, BasisTag
+from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
+from .weyl import WeylOperator, generator_images
 
 EVEN = "even"
 ODD = "odd"
@@ -75,7 +75,8 @@ class QPoly:
 
     def scale(self, value: ScalarLike) -> "QPoly":
         v = GaussianRational.coerce(value)
-        return QPoly([c * v for c in self.coeffs])
+        # zero padding from shift() and monomial() passes through unmultiplied
+        return QPoly([c if c.is_zero() else c * v for c in self.coeffs])
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""
@@ -272,23 +273,19 @@ class Spinor:
     def change_basis(self, target: BasisTag) -> "Spinor":
         if target is self.basis:
             return self
-        i = GaussianRational(0, 1)
-        half = GaussianRational.coerce(1) / 2
-        if self.basis is BasisTag.XY:
-            # x = (z + zbar)/2, y = -i/2 z + i/2 zbar
-            img1 = {(1, 0): half, (0, 1): half}
-            img2 = {(1, 0): -i * half, (0, 1): i * half}
-        else:
-            # z = x + iy, zbar = x - iy
-            img1 = {(1, 0): GaussianRational(1), (0, 1): i}
-            img2 = {(1, 0): GaussianRational(1), (0, 1): -i}
+        images = generator_images(self.basis, target)
+        powers = []  # powers[slot][k] = (image of position `slot`)^k
+        for slot in (0, 1):
+            chain = [WeylOperator.identity(target)]
+            for _ in range(max((key[slot] for key in self.terms), default=0)):
+                chain.append(chain[-1].compose(images[slot]))
+            powers.append(chain)
         out: dict = {}
         for (e1, e2), poly in self.terms.items():
-            expanded = _expand_product(img1, e1, img2, e2)
-            for key, scalar in expanded.items():
+            for (a, b, *_), scalar in powers[0][e1].compose(powers[1][e2]).terms.items():
                 add = poly.scale(scalar)
-                prev = out.get(key)
-                out[key] = add if prev is None else prev + add
+                prev = out.get((a, b))
+                out[(a, b)] = add if prev is None else prev + add
         return Spinor(target, out)
 
     # ---- serialization ----
@@ -303,9 +300,10 @@ class Spinor:
     def from_json(data) -> "Spinor":
         if not isinstance(data, dict):
             raise ValueError("spinor JSON must be an object")
-        basis_text = data.get("basis")
-        if basis_text not in ("xy", "zzbar"):
-            raise ValueError("basis: expected 'xy' or 'zzbar'")
+        try:
+            basis = BasisTag.parse(data.get("basis"))
+        except ValueError:
+            raise ValueError("basis: expected 'xy' or 'zzbar'") from None
         raw_terms = data.get("terms")
         if not isinstance(raw_terms, list):
             raise ValueError("terms: expected a list")
@@ -322,18 +320,13 @@ class Spinor:
             key = (e1, e2)
             prev = terms.get(key)
             terms[key] = poly if prev is None else prev + poly
-        return Spinor(BasisTag.parse(basis_text), terms)
+        return Spinor(basis, terms)
 
     # ---- rendering (the weight reappears only here) ----
 
     def _position_text(self, e1: int, e2: int) -> str:
-        n1, n2 = ("x", "y") if self.basis is BasisTag.XY else ("z", "zbar")
-        factors = []
-        if e1:
-            factors.append(n1 if e1 == 1 else f"{n1}^{e1}")
-        if e2:
-            factors.append(n2 if e2 == 1 else f"{n2}^{e2}")
-        return "*".join(factors)
+        names = GENERATOR_NAMES[self.basis]
+        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, (e1, e2)) if e)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -354,43 +347,16 @@ class Spinor:
     def to_latex(self) -> str:
         if self.is_zero():
             return "0"
-        n1, n2 = ("x", "y") if self.basis is BasisTag.XY else ("z", "\\bar{z}")
+        names = GENERATOR_LATEX[self.basis]
         parts = []
         for (e1, e2) in sorted(self.terms):
             poly = self.terms[(e1, e2)]
-            factors = []
-            if e1:
-                factors.append(n1 if e1 == 1 else f"{n1}^{{{e1}}}")
-            if e2:
-                factors.append(n2 if e2 == 1 else f"{n2}^{{{e2}}}")
-            pos = " ".join(factors)
+            pos = " ".join(
+                n if e == 1 else f"{n}^{{{e}}}" for n, e in zip(names, (e1, e2)) if e
+            )
             body = poly.to_latex()
             if pos:
                 parts.append(f"\\left({body}\\right) {pos}")
             else:
                 parts.append(f"\\left({body}\\right)")
         return "e^{-q^2/2}\\left(" + " + ".join(parts) + "\\right)"
-
-
-def _expand_product(img1: dict, e1: int, img2: dict, e2: int) -> dict:
-    """Expand img1^e1 * img2^e2 where each img is a linear form in two positions."""
-    out = _expand_power(img1, e1)
-    other = _expand_power(img2, e2)
-    result: dict = {}
-    for (a1, b1), c1 in out.items():
-        for (a2, b2), c2 in other.items():
-            key = (a1 + a2, b1 + b2)
-            add = c1 * c2
-            prev = result.get(key)
-            result[key] = add if prev is None else prev + add
-    return {k: v for k, v in result.items() if not v.is_zero()}
-
-
-def _expand_power(img: dict, n: int) -> dict:
-    c10 = img[(1, 0)]
-    c01 = img[(0, 1)]
-    return {
-        (k, n - k): GaussianRational.coerce(comb(n, k)) * c10**k * c01 ** (n - k)
-        for k in range(n + 1)
-    }
-

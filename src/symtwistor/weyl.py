@@ -43,12 +43,14 @@ class BasisMismatchError(ValueError):
     """Raised when two objects tagged with different bases are combined."""
 
 
-_GENERATOR_NAMES = {
+# Generator names in monomial slot order; the parser and the spinor
+# renderings read these tables, so names live only here.
+GENERATOR_NAMES = {
     BasisTag.XY: ("x", "y", "q", "dx", "dy", "dq"),
     BasisTag.ZZBAR: ("z", "zbar", "q", "dz", "dzbar", "dq"),
 }
 
-_GENERATOR_LATEX = {
+GENERATOR_LATEX = {
     BasisTag.XY: ("x", "y", "q", "\\partial_x", "\\partial_y", "\\partial_q"),
     BasisTag.ZZBAR: (
         "z",
@@ -116,7 +118,7 @@ class WeylOperator:
 
     @staticmethod
     def generator(basis: BasisTag, name: str) -> "WeylOperator":
-        names = _GENERATOR_NAMES[basis]
+        names = GENERATOR_NAMES[basis]
         if name not in names:
             raise ValueError(f"unknown generator {name!r} for basis {basis.value}")
         mono = [0] * 6
@@ -218,7 +220,7 @@ class WeylOperator:
         """
         if target is self.basis:
             return self
-        images = _generator_images(self.basis, target)
+        images = generator_images(self.basis, target)
         out = WeylOperator.zero(target)
         power_cache: dict = {}
 
@@ -286,7 +288,7 @@ class WeylOperator:
         # stays within the expression grammar, so str(op) reparses to op
         if self.is_zero():
             return "0"
-        names = _GENERATOR_NAMES[self.basis]
+        names = GENERATOR_NAMES[self.basis]
         parts = []
         for mono, coeff in self.sorted_terms():
             factors = [f"{names[k]}^{e}" if e > 1 else names[k] for k, e in enumerate(mono) if e]
@@ -305,7 +307,7 @@ class WeylOperator:
     def to_latex(self) -> str:
         if self.is_zero():
             return "0"
-        names = _GENERATOR_LATEX[self.basis]
+        names = GENERATOR_LATEX[self.basis]
         parts = []
         for mono, coeff in self.sorted_terms():
             factors = [
@@ -321,8 +323,12 @@ class WeylOperator:
         return " + ".join(parts)
 
 
-def _generator_images(source: BasisTag, target: BasisTag) -> list:
-    """Images of the six source generators as target-basis operators."""
+def generator_images(source: BasisTag, target: BasisTag) -> list:
+    """Images of the six source generators as target-basis operators.
+
+    The only place the substitution is written down; spinor and operator
+    basis changes both go through it.
+    """
     half = GaussianRational(Fraction(1, 2))
     i = GaussianRational(0, 1)
     g = lambda name: WeylOperator.generator(target, name)  # noqa: E731

@@ -220,6 +220,27 @@ def test_generate_qmax_override(capsys):
     assert code == 2  # below the window the solver needs
 
 
+def test_generate_monogenic_plus_rejects_qmax(capsys):
+    # monogenic+ has no truncation bound, so --qmax would be ignored
+    code, out, err = run(capsys, "generate", "monogenic+", "1", "--qmax", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --qmax applies only to monogenic- and twistor\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "combinatorics", "--basis", "xy"],
+        ["tables", "A", "3", "--qmax", "7"],
+    ],
+)
+def test_flags_a_subcommand_never_reads_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 # ---- apply ----
 
 
@@ -362,6 +383,17 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "j=0: 1 2 1\nj=1: 1\n"
+
+
+def test_output_to_missing_directory_is_usage_error(tmp_path, capsys):
+    # a failed write is not a verification failure (exit 1) and not a traceback
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, "tables", "A", "2", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+    assert not target.exists()
 
 
 def test_byte_identical_reruns(capsys):

@@ -96,6 +96,25 @@ def test_mixed_bases_rejected_with_position():
         parse_operator("z*y")
 
 
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        # a syntax error before the mixing identifier wins
+        ("x + ) + z", OperatorSyntaxError, "unexpected ')'", 4),
+        ("(x + zbar", OperatorSyntaxError, "'zbar' mixes zzbar generators into an xy expression", 5),
+        # the first basis-specific identifier fixes the basis, even after neutral ones
+        ("q + zbar*x", OperatorSyntaxError, "'x' mixes xy generators into a zzbar expression", 9),
+        ("q*dq + z*foo", UnknownSymbolError, "unknown symbol 'foo'", 9),
+    ],
+)
+def test_error_precedence_follows_token_order(text, error, message, position):
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_operator(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
+
+
 def test_unknown_symbol_position():
     with pytest.raises(UnknownSymbolError) as exc:
         parse_operator("x*foo")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
 from symtwistor.spinor import EVEN, MIXED, ODD, QPoly, Spinor
-from symtwistor.weyl import BasisMismatchError, BasisTag
+from symtwistor.weyl import BasisMismatchError, BasisTag, WeylOperator
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
 
@@ -124,6 +124,19 @@ def test_change_basis_monomials():
     assert x.change_basis(ZZ) == Spinor(
         ZZ, {(1, 0): QPoly([half]), (0, 1): QPoly([half])}
     )
+
+
+@pytest.mark.parametrize("source, target", [(XY, ZZ), (ZZ, XY)])
+def test_change_basis_matches_operator_substitution(source, target):
+    # a position monomial and the operator of the same monomial change basis alike
+    c = G(2, -3)
+    for e1 in range(7):
+        for e2 in range(7 - e1):
+            got = Spinor.monomial(source, e1, e2, [c]).change_basis(target)
+            op = WeylOperator(source, {(e1, e2, 0, 0, 0, 0): c}).change_basis(target)
+            assert set(op.terms) == {(a, b, 0, 0, 0, 0) for (a, b) in got.terms}
+            for (a, b), poly in got.terms.items():
+                assert poly == QPoly([op.terms[(a, b, 0, 0, 0, 0)]])
 
 
 def test_change_basis_preserves_structure():
