@@ -26,13 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import GaussianRational, G, MINUS_I
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor
-from .operators import (
-    build_ds,
-    build_ds_squared,
-    build_ts_reduced,
-    build_xs,
-    named_operator,
-)
+from .operators import named_operator
 
 
 class NonHomogeneousError(ValueError):
@@ -76,11 +70,7 @@ class RecursionKind(Enum):
 
 def operator_for_kind(kind: RecursionKind) -> WeylOperator:
     """The zzbar-basis operator whose kernel the kind's relations describe."""
-    if kind.operator_name == "ds":
-        return build_ds().change_basis(BasisTag.ZZBAR)
-    if kind.operator_name == "ts":
-        return build_ts_reduced().change_basis(BasisTag.ZZBAR)
-    return build_ds_squared()
+    return named_operator(kind.operator_name, BasisTag.ZZBAR)
 
 
 @dataclass(frozen=True)
@@ -291,7 +281,7 @@ def twistor_kernel_basis(m: int, qmax: Optional[int] = None) -> List[Spinor]:
             Spinor.monomial(BasisTag.ZZBAR, 0, 0, [1]),
             Spinor.monomial(BasisTag.ZZBAR, 0, 0, [0, 1]),
         ]
-    xs_z = build_xs().change_basis(BasisTag.ZZBAR)
+    xs_z = named_operator("xs", BasisTag.ZZBAR)
     return [
         xs_z.apply(monogenic_plus(m - 1)),
         xs_z.apply(monogenic_minus(m - 1, qmax)),
@@ -307,7 +297,7 @@ def verify_exclusion(n: int, m: int) -> GaussianRational:
     if n < 0 or m < 0:
         raise ValueError("n and m must be nonnegative")
     s = raising_chain(monogenic_plus(m).change_basis(BasisTag.XY), n)[-1]
-    out = build_ts_reduced().apply(s)
+    out = named_operator("ts", BasisTag.XY).apply(s)
     return out.coefficient_of(n - 1 + m, 0, n)
 
 
@@ -319,8 +309,7 @@ def exclusion_formula(n: int, m: int) -> GaussianRational:
 def verify_minus_exclusion(m: int) -> GaussianRational:
     """Coefficient of q^3 zbar^(m-1) in the first twistor component of the
     odd Dirac-kernel element; zero spinor for m = 0 (returns 0)."""
-    ts_z = build_ts_reduced().change_basis(BasisTag.ZZBAR)
-    out = ts_z.apply(monogenic_minus(m))
+    out = named_operator("ts", BasisTag.ZZBAR).apply(monogenic_minus(m))
     if m == 0:
         if not out.is_zero():
             raise ArithmeticError("constant odd spinor unexpectedly escaped the kernel")
@@ -566,7 +555,7 @@ def holomorphic_family_check(n: int) -> bool:
     The ODE (1 - q^2) f = q f' for f = q e^{-q^2/2}, written on stored
     (weight-stripped) data with the weighted derivative.
     """
-    ts_z = build_ts_reduced().change_basis(BasisTag.ZZBAR)
+    ts_z = named_operator("ts", BasisTag.ZZBAR)
     annihilated = ts_z.apply(holomorphic_family_member(n)).is_zero()
     f = QPoly([0, 1])
     lhs = f - f.shift(2)  # (1 - q^2) f

@@ -1,8 +1,9 @@
 """Named verification checks grouped into suites.
 
 Each check returns None on success or a short witness string on
-failure. The CLI `verify` command and the acceptance test suite both
-run these; the `criterion` tag groups checks under the numbered
+failure; a check that raises is reported with status "error" and the
+exception text. The CLI `verify` command and the acceptance test suite
+both run these; the `criterion` tag groups checks under the numbered
 acceptance criteria. Randomized sweeps use a fixed seed so output is
 reproducible byte for byte.
 """
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import G, GaussianRational, I, MINUS_I
 from .weyl import BasisTag, WeylOperator
@@ -53,7 +54,7 @@ class Check:
 class CheckResult:
     id: str
     anchor: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error"
     witness: Optional[str]
 
 
@@ -68,7 +69,7 @@ class VerificationReport:
 
     @property
     def failed(self) -> int:
-        return sum(1 for r in self.results if r.status == "fail")
+        return sum(1 for r in self.results if r.status != "pass")
 
     @property
     def exit_code(self) -> int:
@@ -97,7 +98,7 @@ class VerificationReport:
             if r.status == "pass":
                 lines.append(f"PASS {r.id}: {r.anchor}")
             else:
-                lines.append(f"FAIL {r.id}: {r.anchor}; witness: {r.witness}")
+                lines.append(f"{r.status.upper()} {r.id}: {r.anchor}; witness: {r.witness}")
         lines.append(
             f"suite {self.suite}: {self.passed} passed, {self.failed} failed"
         )
@@ -130,15 +131,12 @@ def run_suite(name: str, checks: Optional[List[Check]] = None) -> VerificationRe
         checks = [c for c in _CHECKS if name == "all" or c.suite == name]
     results = []
     for check in checks:
-        witness = check.fn()
-        results.append(
-            CheckResult(
-                check.id,
-                check.anchor,
-                "pass" if witness is None else "fail",
-                witness,
-            )
-        )
+        try:
+            witness = check.fn()
+            status = "pass" if witness is None else "fail"
+        except Exception as exc:  # one broken check must not abort the report
+            witness, status = f"{type(exc).__name__}: {exc}", "error"
+        results.append(CheckResult(check.id, check.anchor, status, witness))
     return VerificationReport(name, tuple(results))
 
 
@@ -159,6 +157,27 @@ def _identity(
         return None if op.is_zero() else f"nonzero remainder {op}"
 
     _CHECKS.append(Check(id, anchor, "algebra", criterion, check))
+
+
+def _cases(
+    id: str,
+    anchor: str,
+    suite: str,
+    criterion: Optional[int],
+    rows: Callable[[], Iterable[Tuple[str, object, object]]],
+) -> None:
+    """Register a check over the (label, got, want) rows that rows() yields.
+
+    The witness is `label: got <got>` for the first row with got != want.
+    rows() is called afresh on every run and read lazily, so the check stops
+    at its first mismatch and looks builders up through this module's
+    globals when it runs.
+    """
+
+    def check() -> Optional[str]:
+        return next((f"{label}: got {got}" for label, got, want in rows() if got != want), None)
+
+    _CHECKS.append(Check(id, anchor, suite, criterion, check))
 
 
 # ======================================================================
@@ -200,18 +219,14 @@ _identity("casimir.expansion",
               " - 2*x*q*dx*dq + 2*y*q*dy*dq + 2*i*y*dx*dq^2 + 2*i*x*q^2*dy"))
 
 
-@_check(
-    "casimir.central",
-    "the Casimir commutes with xs, ds, rhoX, rhoY, rhoH",
-    "algebra",
-    None,
-)
-def _casimir_central() -> Optional[str]:
+def _casimir_central_rows():
     cas = build_casimir()
     for name in ("xs", "ds", "rhoX", "rhoY", "rhoH"):
-        if not cas.commutator(named_operator(name)).is_zero():
-            return f"[casimir, {name}] != 0"
-    return None
+        yield f"[casimir, {name}]", cas.commutator(named_operator(name)), WeylOperator.zero(XY)
+
+
+_cases("casimir.central", "the Casimir commutes with xs, ds, rhoX, rhoY, rhoH", "algebra", None,
+       _casimir_central_rows)
 
 
 @_check(
@@ -253,19 +268,14 @@ _identity("zbasis.ds2", "D_s composed with itself equals the quadratic zzbar dis
               " + (q^2 - 2*q*dq - 1 + dq^2)*dzbar^2"))
 
 
-@_check(
-    "weyl.roundtrip",
-    "xy -> zzbar -> xy is the identity on every registry operator",
-    "algebra",
-    None,
-)
-def _weyl_roundtrip() -> Optional[str]:
+def _weyl_roundtrip_rows():
     for name in operator_names():
         op = named_operator(name, XY)
-        back = op.change_basis(ZZ).change_basis(XY)
-        if back != op:
-            return f"roundtrip moved {name}"
-    return None
+        yield f"roundtrip of {name}", op.change_basis(ZZ).change_basis(XY), op
+
+
+_cases("weyl.roundtrip", "xy -> zzbar -> xy is the identity on every registry operator",
+       "algebra", None, _weyl_roundtrip_rows)
 
 
 # ======================================================================
@@ -277,96 +287,71 @@ def _vacuum(shift: int = 0) -> Spinor:
     return Spinor.monomial(XY, 0, 0, QPoly.monomial(shift))
 
 
-@_check(
-    "displays.xs-on-constants",
-    "X_s images of the two constant spinors match their displays",
-    "kernels",
-    3,
-)
-def _displays_xs_constants() -> Optional[str]:
-    got_even = ker.raising_chain(_vacuum(), 1)[1]
-    want_even = Spinor(XY, {(1, 0): QPoly([0, I]), (0, 1): QPoly([0, -1])})
-    if got_even != want_even:
-        return f"X_s on the even constant gave {got_even}"
-    got_odd = ker.raising_chain(_vacuum(1), 1)[1]
-    want_odd = Spinor(XY, {(1, 0): QPoly([0, 0, I]), (0, 1): QPoly([1, 0, -1])})
-    if got_odd != want_odd:
-        return f"X_s on the odd constant gave {got_odd}"
-    return None
+def _xs_on_constants_rows():
+    yield ("X_s on the even constant", ker.raising_chain(_vacuum(), 1)[1],
+           Spinor(XY, {(1, 0): QPoly([0, I]), (0, 1): QPoly([0, -1])}))
+    yield ("X_s on the odd constant", ker.raising_chain(_vacuum(1), 1)[1],
+           Spinor(XY, {(1, 0): QPoly([0, 0, I]), (0, 1): QPoly([1, 0, -1])}))
 
 
-@_check(
-    "displays.ts-xs-powers",
-    "first twistor component of X_s^n on both constant spinors matches, n = 0..3",
-    "kernels",
-    3,
-)
-def _displays_ts_xs_powers() -> Optional[str]:
+_cases("displays.xs-on-constants",
+       "X_s images of the two constant spinors match their displays", "kernels", 3,
+       _xs_on_constants_rows)
+
+# first twistor component of X_s^n on the constant spinor q^shift, keyed (n, shift)
+_TS_ON_XS_POWERS: Dict[Tuple[int, int], Spinor] = {
+    (0, 0): Spinor.zero(XY),
+    (0, 1): Spinor.zero(XY),
+    (1, 0): Spinor.zero(XY),
+    (1, 1): Spinor.zero(XY),
+    (2, 0): Spinor(XY, {(1, 0): QPoly([0, 0, 1]), (0, 1): QPoly([I, G(0), I])}),
+    (2, 1): Spinor(XY, {(1, 0): QPoly([0, 0, 0, 1]), (0, 1): QPoly([0, 0, 0, I])}),
+    (3, 0): Spinor(
+        XY,
+        {
+            (2, 0): QPoly([0, 0, 0, G(0, 3)]),
+            (1, 1): QPoly([0, 0, 0, -6]),
+            (0, 2): QPoly([0, 0, 0, G(0, -3)]),
+        },
+    ),
+    (3, 1): Spinor(
+        XY,
+        {
+            (2, 0): QPoly([0, 0, 0, 0, G(0, 3)]),
+            (1, 1): QPoly([0, 0, 6, 0, -6]),
+            (0, 2): QPoly([G(0, 3), G(0), G(0, 6), G(0), G(0, -3)]),
+        },
+    ),
+}
+
+
+def _ts_xs_powers_rows():
     ts = build_ts_reduced()
-    expected: Dict[Tuple[int, int], Spinor] = {
-        (0, 0): Spinor.zero(XY),
-        (0, 1): Spinor.zero(XY),
-        (1, 0): Spinor.zero(XY),
-        (1, 1): Spinor.zero(XY),
-        (2, 0): Spinor(XY, {(1, 0): QPoly([0, 0, 1]), (0, 1): QPoly([I, G(0), I])}),
-        (2, 1): Spinor(XY, {(1, 0): QPoly([0, 0, 0, 1]), (0, 1): QPoly([0, 0, 0, I])}),
-        (3, 0): Spinor(
-            XY,
-            {
-                (2, 0): QPoly([0, 0, 0, G(0, 3)]),
-                (1, 1): QPoly([0, 0, 0, -6]),
-                (0, 2): QPoly([0, 0, 0, G(0, -3)]),
-            },
-        ),
-        (3, 1): Spinor(
-            XY,
-            {
-                (2, 0): QPoly([0, 0, 0, 0, G(0, 3)]),
-                (1, 1): QPoly([0, 0, 6, 0, -6]),
-                (0, 2): QPoly([G(0, 3), G(0), G(0, 6), G(0), G(0, -3)]),
-            },
-        ),
-    }
     chains = {shift: ker.raising_chain(_vacuum(shift), 3) for shift in (0, 1)}
-    for (n, shift), want in sorted(expected.items()):
-        got = ts.apply(chains[shift][n])
-        if got != want:
-            return f"n={n}, q-shift={shift}: got {got}"
-    return None
+    for (n, shift), want in sorted(_TS_ON_XS_POWERS.items()):
+        yield f"n={n}, q-shift={shift}", ts.apply(chains[shift][n]), want
 
 
-@_check(
-    "exclusion.sweep",
-    "leading exclusion coefficient equals -i^n (n+2m)(n-1)/2 for 2<=n<=8, 0<=m<=4",
-    "kernels",
-    4,
-)
-def _exclusion_sweep() -> Optional[str]:
+_cases("displays.ts-xs-powers",
+       "first twistor component of X_s^n on both constant spinors matches, n = 0..3",
+       "kernels", 3, _ts_xs_powers_rows)
+
+
+def _exclusion_rows():
     for n in range(2, 9):
         for m in range(5):
             got = ker.verify_exclusion(n, m)
-            want = ker.exclusion_formula(n, m)
-            if got != want:
-                return f"n={n}, m={m}: got {got}, want {want}"
-            if got.is_zero():
-                return f"n={n}, m={m}: coefficient vanished unexpectedly"
-    return None
+            yield f"n={n}, m={m}", got, ker.exclusion_formula(n, m)
+            yield f"n={n}, m={m}, coefficient vanished", got.is_zero(), False
 
 
-@_check(
-    "minus-exclusion.values",
-    "q^3 zbar^(m-1) coefficient of the twisted odd element is 2m/3 for m <= 6, zero case at m = 0",
-    "kernels",
-    None,
-)
-def _minus_exclusion_values() -> Optional[str]:
-    if ker.verify_minus_exclusion(0) != 0:
-        return "m=0 gave a nonzero result"
-    for m in range(1, 7):
-        got = ker.verify_minus_exclusion(m)
-        if got != Fraction(2 * m, 3):
-            return f"m={m}: got {got}"
-    return None
+_cases("exclusion.sweep",
+       "leading exclusion coefficient equals -i^n (n+2m)(n-1)/2 for 2<=n<=8, 0<=m<=4",
+       "kernels", 4, _exclusion_rows)
+_cases("minus-exclusion.values",
+       "q^3 zbar^(m-1) coefficient of the twisted odd element is 2m/3 for m <= 6, zero case at m = 0",
+       "kernels", None,
+       lambda: ((f"m={m}", ker.verify_minus_exclusion(m), Fraction(2 * m, 3)) for m in range(7)))
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -376,25 +361,19 @@ def _double_factorial_odd(m: int) -> int:
     return out
 
 
-@_check(
-    "monogenic-minus.family",
-    "odd Dirac-kernel elements: annihilated, q-degree 2m+1, top coefficient 2^m/(2m+1)!!, m <= 8",
-    "kernels",
-    5,
-)
-def _monogenic_minus_family() -> Optional[str]:
+def _minus_family_rows():
     ds_z = named_operator("ds", ZZ)
     for m in range(9):
         s = ker.monogenic_minus(m)
-        if not ds_z.apply(s).is_zero():
-            return f"m={m}: not annihilated"
-        if s.q_degree() != 2 * m + 1:
-            return f"m={m}: q-degree {s.q_degree()}"
-        top = s.terms[(m, 0)].coefficient(2 * m + 1)
-        if top != Fraction(2**m, _double_factorial_odd(m)):
-            return f"m={m}: top coefficient {top}"
-    return None
+        yield f"m={m}, D_s image", ds_z.apply(s), Spinor.zero(ZZ)
+        yield f"m={m}, q-degree", s.q_degree(), 2 * m + 1
+        yield (f"m={m}, top coefficient", s.terms[(m, 0)].coefficient(2 * m + 1),
+               Fraction(2**m, _double_factorial_odd(m)))
 
+
+_cases("monogenic-minus.family",
+       "odd Dirac-kernel elements: annihilated, q-degree 2m+1, top coefficient 2^m/(2m+1)!!, m <= 8",
+       "kernels", 5, _minus_family_rows)
 
 _MINUS_DISPLAYS_Z = {
     1: Spinor(ZZ, {(1, 0): QPoly([0, -1, 0, Fraction(2, 3)]), (0, 1): QPoly([0, 1])}),
@@ -445,41 +424,32 @@ _MINUS_DISPLAYS_XY = {
 }
 
 
-@_check(
-    "monogenic-minus.displays",
-    "odd Dirac-kernel elements match their m = 1, 2, 3 displays in both bases",
-    "kernels",
-    5,
-)
-def _monogenic_minus_displays() -> Optional[str]:
+def _minus_displays_rows():
     for m in (1, 2, 3):
         s = ker.monogenic_minus(m)
-        if s != _MINUS_DISPLAYS_Z[m]:
-            return f"m={m} (zzbar): got {s}"
-        if s.change_basis(XY) != _MINUS_DISPLAYS_XY[m]:
-            return f"m={m} (xy): got {s.change_basis(XY)}"
-    return None
+        yield f"m={m} (zzbar)", s, _MINUS_DISPLAYS_Z[m]
+        yield f"m={m} (xy)", s.change_basis(XY), _MINUS_DISPLAYS_XY[m]
 
 
-@_check(
-    "twistor-basis.annihilation",
-    "both twistor-kernel elements are killed by both twistor components and the squared Dirac operator, m <= 8",
-    "kernels",
-    6,
-)
-def _twistor_basis_annihilation() -> Optional[str]:
-    ts_z = named_operator("ts", ZZ)
-    ts2_z = named_operator("ts2", ZZ)
-    ds2 = build_ds_squared()
+_cases("monogenic-minus.displays",
+       "odd Dirac-kernel elements match their m = 1, 2, 3 displays in both bases",
+       "kernels", 5, _minus_displays_rows)
+
+
+def _twistor_annihilation_rows():
+    ops = ((named_operator("ts", ZZ), "comp1"), (named_operator("ts2", ZZ), "comp2"),
+           (build_ds_squared(), "ds2"))
     for m in range(9):
         basis = ker.twistor_kernel_basis(m)
-        if len(basis) != 2:
-            return f"m={m}: expected 2 elements, got {len(basis)}"
+        yield f"m={m}, element count", len(basis), 2
         for idx, el in enumerate(basis):
-            for op, name in ((ts_z, "comp1"), (ts2_z, "comp2"), (ds2, "ds2")):
-                if not op.apply(el).is_zero():
-                    return f"m={m}, element {idx}: survives {name}"
-    return None
+            for op, name in ops:
+                yield f"m={m}, element {idx}, {name} image", op.apply(el), Spinor.zero(ZZ)
+
+
+_cases("twistor-basis.annihilation",
+       "both twistor-kernel elements are killed by both twistor components and the squared Dirac operator, m <= 8",
+       "kernels", 6, _twistor_annihilation_rows)
 
 
 _TWISTOR_DISPLAYS_Z = {
@@ -696,56 +666,32 @@ def _howe_roundtrip() -> Optional[str]:
     return None
 
 
-@_check(
-    "ladder.constants",
-    "D_s X_s^j m = -i j (lambda + (j-1)/2) X_s^(j-1) m on sample Dirac-kernel elements",
-    "kernels",
-    None,
-)
-def _ladder_constants() -> Optional[str]:
+def _ladder_rows():
     ds_z = named_operator("ds", ZZ)
-    samples = [
-        ker.monogenic_plus(0),
-        ker.monogenic_plus(1),
-        ker.monogenic_plus(3),
-        ker.monogenic_minus(0),
-        ker.monogenic_minus(2),
-    ]
+    samples = [ker.monogenic_plus(0), ker.monogenic_plus(1), ker.monogenic_plus(3),
+               ker.monogenic_minus(0), ker.monogenic_minus(2)]
     for mono in samples:
         l = mono.homogeneity()
         chain = ker.raising_chain(mono, 4)
         for j in range(1, 5):
-            if ds_z.apply(chain[j]) != chain[j - 1].scale(ker.ladder_constant(l, j)):
-                return f"l={l}, j={j}: ladder constant mismatch"
-    return None
+            yield (f"l={l}, j={j}", ds_z.apply(chain[j]),
+                   chain[j - 1].scale(ker.ladder_constant(l, j)))
 
 
-@_check(
-    "holomorphic.family",
-    "q e^{-q^2/2} z^n is twistor-annihilated for n <= 10",
-    "kernels",
-    11,
-)
-def _holomorphic_family() -> Optional[str]:
-    for n in range(11):
-        if not ker.holomorphic_family_check(n):
-            return f"n={n}: check failed"
-    return None
+_cases("ladder.constants",
+       "D_s X_s^j m = -i j (lambda + (j-1)/2) X_s^(j-1) m on sample Dirac-kernel elements",
+       "kernels", None, _ladder_rows)
+_cases("holomorphic.family", "q e^{-q^2/2} z^n is twistor-annihilated for n <= 10", "kernels", 11,
+       lambda: ((f"n={n}", ker.holomorphic_family_check(n), True) for n in range(11)))
 
 
-@_check(
-    "holomorphic.ode",
-    "f = q e^{-q^2/2} solves (1 - q^2) f = q f' as a weighted identity",
-    "kernels",
-    11,
-)
-def _holomorphic_ode() -> Optional[str]:
+def _holomorphic_ode_rows():
     g = QPoly([0, 1])  # stored q-part of f, weight implicit
-    lhs = g - g.shift(2)
-    rhs = g.weighted_dq().shift(1)
-    if lhs != rhs:
-        return f"(1 - q^2) f has q-part {lhs}, q f' has q-part {rhs}"
-    return None
+    yield "q-part of (1 - q^2) f against q f'", g - g.shift(2), g.weighted_dq().shift(1)
+
+
+_cases("holomorphic.ode", "f = q e^{-q^2/2} solves (1 - q^2) f = q f' as a weighted identity",
+       "kernels", 11, _holomorphic_ode_rows)
 
 
 # ======================================================================
@@ -753,59 +699,43 @@ def _holomorphic_ode() -> Optional[str]:
 # ======================================================================
 
 
-@_check(
-    "a-table.match",
-    "recurrence table equals the normal-ordered raising-power expansion, n <= 12",
-    "combinatorics",
-    9,
-)
-def _a_table_match() -> Optional[str]:
+def _a_table_rows():
     for n in range(13):
         want = comb_mod.a_table(n)
-        got = comb_mod.a_table_from_power(n)
-        if want != got:
-            return f"n={n}: tables differ"
-        support = {
-            (j, k) for j in range(n // 2 + 1) for k in range(n - 2 * j + 1)
-        }
-        if set(want) != support:
-            return f"n={n}: support mismatch"
-        if any(v <= 0 for v in want.values()):
-            return f"n={n}: non-positive entry"
-    return None
+        yield f"n={n}, power expansion", comb_mod.a_table_from_power(n), want
+        yield (f"n={n}, support", set(want),
+               {(j, k) for j in range(n // 2 + 1) for k in range(n - 2 * j + 1)})
+        yield f"n={n}, all entries positive", all(v > 0 for v in want.values()), True
 
 
-@_check(
-    "a-table.closed-rows",
-    "A^n_{0k} = C(n,k) and A^n_{1,n-2} = n(n-1)/2, n <= 12",
-    "combinatorics",
-    9,
-)
-def _a_table_closed_rows() -> Optional[str]:
+_cases("a-table.match",
+       "recurrence table equals the normal-ordered raising-power expansion, n <= 12",
+       "combinatorics", 9, _a_table_rows)
+
+
+def _a_table_closed_rows():
     for n in range(13):
         table = comb_mod.a_table(n)
         for k in range(n + 1):
-            if table.get((0, k), 0) != comb(n, k):
-                return f"n={n}, k={k}: row 0 mismatch"
-        if n >= 2 and table.get((1, n - 2), 0) != n * (n - 1) // 2:
-            return f"n={n}: j=1 top entry mismatch"
-    return None
+            yield f"n={n}, k={k}, row 0", table.get((0, k), 0), comb(n, k)
+        if n >= 2:
+            yield f"n={n}, j=1 top entry", table.get((1, n - 2), 0), n * (n - 1) // 2
 
 
-@_check(
-    "stirling.match",
-    "stirling recurrence equals the normal-ordered (q dq)^n expansion, n <= 12, with s(4,2) = 7",
-    "combinatorics",
-    9,
-)
-def _stirling_match() -> Optional[str]:
-    if comb_mod.stirling(4, 2) != 7:
-        return f"s(4,2) = {comb_mod.stirling(4, 2)}"
+_cases("a-table.closed-rows", "A^n_{0k} = C(n,k) and A^n_{1,n-2} = n(n-1)/2, n <= 12",
+       "combinatorics", 9, _a_table_closed_rows)
+
+
+def _stirling_rows():
+    yield "s(4,2)", comb_mod.stirling(4, 2), 7
     for n in range(1, 13):
         for m in range(1, n + 1):
-            if comb_mod.stirling(n, m) != comb_mod.stirling_from_power(n, m):
-                return f"n={n}, m={m}: mismatch"
-    return None
+            yield f"n={n}, m={m}", comb_mod.stirling(n, m), comb_mod.stirling_from_power(n, m)
+
+
+_cases("stirling.match",
+       "stirling recurrence equals the normal-ordered (q dq)^n expansion, n <= 12, with s(4,2) = 7",
+       "combinatorics", 9, _stirling_rows)
 
 
 @_check(
@@ -846,22 +776,12 @@ def _stirling_tilde_structure() -> Optional[str]:
     return None
 
 
-@_check(
-    "stirling-tilde.displays",
-    "(q+dq)^2 and (q+dq)^3 marked expansions match their displays",
-    "combinatorics",
-    9,
-)
-def _stirling_tilde_displays() -> Optional[str]:
-    if comb_mod.stirling_tilde(2) != {(0, 0): 1, (2, 0): 1, (1, 0): 2, (1, 1): 1}:
-        return f"n=2: {comb_mod.stirling_tilde(2)}"
-    if comb_mod.stirling_tilde(3) != {
-        (0, 0): 1,
-        (3, 0): 1,
-        (1, 0): 3,
-        (2, 0): 3,
-        (1, 1): 3,
-        (2, 1): 3,
-    }:
-        return f"n=3: {comb_mod.stirling_tilde(3)}"
-    return None
+_STIRLING_TILDE_DISPLAYS = {
+    2: {(0, 0): 1, (2, 0): 1, (1, 0): 2, (1, 1): 1},
+    3: {(0, 0): 1, (3, 0): 1, (1, 0): 3, (2, 0): 3, (1, 1): 3, (2, 1): 3},
+}
+
+_cases("stirling-tilde.displays", "(q+dq)^2 and (q+dq)^3 marked expansions match their displays",
+       "combinatorics", 9,
+       lambda: ((f"n={n}", comb_mod.stirling_tilde(n), want)
+                for n, want in _STIRLING_TILDE_DISPLAYS.items()))

@@ -221,22 +221,26 @@ class WeylOperator:
         if target is self.basis:
             return self
         images = generator_images(self.basis, target)
-        out = WeylOperator.zero(target)
-        power_cache: dict = {}
-
-        def img_power(gen_index: int, exp: int) -> WeylOperator:
-            key = (gen_index, exp)
-            if key not in power_cache:
-                power_cache[key] = images[gen_index] ** exp
-            return power_cache[key]
-
+        powers = []  # powers[slot][k] = images[slot]^k
+        for slot, image in enumerate(images):
+            chain = [WeylOperator.identity(target)]
+            for _ in range(max((mono[slot] for mono in self.terms), default=0)):
+                chain.append(chain[-1].compose(image))
+            powers.append(chain)
+        terms: dict = {}
         for mono, coeff in self.terms.items():
             acc = WeylOperator.scalar(target, coeff)
-            for gen_index, exp in enumerate(mono):
+            for slot, exp in enumerate(mono):
                 if exp:
-                    acc = acc.compose(img_power(gen_index, exp))
-            out = out + acc
-        return out
+                    acc = acc.compose(powers[slot][exp])
+            for m, c in acc.terms.items():
+                if m in terms:
+                    c = terms[m] + c
+                    if c.is_zero():  # drop it now, so a later term re-enters it last
+                        del terms[m]
+                        continue
+                terms[m] = c
+        return WeylOperator(target, terms)
 
     # ---- action on spinors ----
 

@@ -166,6 +166,82 @@ def test_twistor_display_without_leading_monomial_gives_witness(monkeypatch):
     ]
 
 
+def test_raising_check_is_reported_and_later_checks_still_run(capsys, monkeypatch):
+    import dataclasses
+
+    import symtwistor.verify as verify_mod
+
+    def broken():
+        raise ZeroDivisionError("boom")
+
+    checks = list(verify_mod.all_checks())
+    first = next(i for i, c in enumerate(checks) if c.suite == "combinatorics")
+    checks[first] = dataclasses.replace(checks[first], fn=broken)
+    monkeypatch.setattr(verify_mod, "_CHECKS", checks)
+    code, out, _ = run(capsys, "verify", "combinatorics")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == (
+        "ERROR a-table.match: recurrence table equals the normal-ordered "
+        "raising-power expansion, n <= 12; witness: ZeroDivisionError: boom"
+    )
+    assert [l.split(":")[0] for l in lines[1:-1]] == [
+        "PASS a-table.closed-rows",
+        "PASS stirling.match",
+        "PASS stirling-tilde.structure",
+        "PASS stirling-tilde.displays",
+    ]
+    assert lines[-1] == "suite combinatorics: 4 passed, 1 failed"
+    code, out, _ = run(capsys, "verify", "combinatorics", "--format", "json")
+    data = json.loads(out)
+    assert (code, data["schema_version"], data["passed"], data["failed"]) == (1, 1, 4, 1)
+    assert data["checks"][0]["status"] == "error"
+    assert data["checks"][0]["witness"] == "ZeroDivisionError: boom"
+
+
+def register_cases(monkeypatch, rows):
+    import symtwistor.verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "_CHECKS", [])
+    verify_mod._cases("demo.rows", "demo anchor", "kernels", None, rows)
+    (check,) = verify_mod._CHECKS
+    return check
+
+
+def test_cases_witness_is_the_first_mismatching_row(monkeypatch):
+    check = register_cases(monkeypatch, lambda: iter([
+        ("n=0", 1, 1),
+        ("n=1", 5, 4),
+        ("n=2", 7, 6),
+    ]))
+    assert check.fn() == "n=1: got 5"
+    assert register_cases(monkeypatch, lambda: iter([("n=0", 1, 1)])).fn() is None
+
+
+def test_cases_stops_at_the_first_mismatch(monkeypatch):
+    produced = []
+
+    def rows():
+        for n in range(10):
+            produced.append(n)
+            yield f"n={n}", n, 0 if n == 3 else n
+
+    check = register_cases(monkeypatch, rows)
+    assert check.fn() == "n=3: got 3"
+    assert produced == [0, 1, 2, 3]
+
+
+def test_cases_check_runs_twice_with_the_same_result(monkeypatch):
+    def rows():
+        for m in range(4):
+            yield f"m={m}", m * m, m if m < 2 else m * m + 1
+
+    check = register_cases(monkeypatch, rows)
+    assert check.fn() == check.fn() == "m=2: got 4"
+    passing = register_cases(monkeypatch, lambda: ((f"m={m}", m, m) for m in range(4)))
+    assert passing.fn() is None and passing.fn() is None
+
+
 # ---- generate ----
 
 
