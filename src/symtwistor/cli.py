@@ -4,8 +4,9 @@ Subcommands: verify, generate, apply, decompose, tables. Output is
 deterministic: identical invocations produce byte-identical text (all
 term orderings are lexicographic on exponent tuples).
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage, parse, or schema error.
+Exit codes: 0 success / all checks pass, 1 verification failure
+(including an ArithmeticError raised by a solver guard), 2 usage, parse,
+or schema error.
 """
 
 from __future__ import annotations
@@ -361,6 +362,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:  # OperatorSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a solver guard: the result failed its own check
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(text)
     return code
 

@@ -1,36 +1,43 @@
 """Exact scalar arithmetic over the Gaussian rationals Q(i).
 
-Every coefficient in this package is a GaussianRational: a pair of
-stdlib Fractions (real and imaginary part). Fractions are already kept
-in lowest terms with a positive denominator, so equality and hashing
-are structural and exact. No floats anywhere.
+Every coefficient in this package is a GaussianRational: a reduced
+integer triple (a, b, d) standing for (a + b*i)/d, with d > 0 and
+gcd(a, b, d) == 1. This is the layout of FLINT's fmpq, with one
+denominator shared by both parts. The reduced form is unique, so
+equality and hashing are structural and exact, and sums and products in
+Z[i] (d == 1) never call gcd. The real and imaginary parts are read as
+fractions.Fraction through .re and .im. No floats anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 _RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
 
-def _as_fraction(value: _RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _parts(value: _RationalLike) -> tuple[int, int]:
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
 class GaussianRational:
-    """re + im*i with exact rational re, im."""
+    """(a + b*i)/d with ints a, b, d; d > 0 and gcd(a, b, d) == 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: _RationalLike = 0, im: _RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        p, q = _parts(re)
+        r, s = _parts(im)
+        # both parts are in lowest terms, so over their lcm the triple is reduced
+        d = q * s // gcd(q, s)
+        _set_a(self, p * (d // q))
+        _set_b(self, r * (d // s))
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -39,43 +46,61 @@ class GaussianRational:
     def coerce(value: ScalarLike) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(_as_fraction(value))
+        return GaussianRational(value)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # ---- ring operations ----
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) - self
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is int:  # integer weights and falling factorials
+            return _make(self._a * other, self._b * other, self._d)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        norm = a * a + b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero GaussianRational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _make(d * a, -d * b, norm)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
         return self * GaussianRational.coerce(other).inverse()
@@ -88,7 +113,7 @@ class GaussianRational:
             raise TypeError("exponent must be int")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = GaussianRational(1)
+        result = ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -100,34 +125,31 @@ class GaussianRational:
     # ---- structure ----
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            # with b == 0 the triple is a/d in lowest terms
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
         # agree with int/Fraction hashing when purely real
-        if self.im == 0:
-            return hash(self.re)
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     # ---- serialization / rendering ----
 
     def to_list(self) -> list[int]:
         """[re_num, re_den, im_num, im_den]"""
-        return [
-            self.re.numerator,
-            self.re.denominator,
-            self.im.numerator,
-            self.im.denominator,
-        ]
+        re, im = self.re, self.im
+        return [re.numerator, re.denominator, im.numerator, im.denominator]
 
     @staticmethod
     def from_list(data) -> "GaussianRational":
@@ -144,23 +166,47 @@ class GaussianRational:
         return GaussianRational(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im)).lstrip('+')}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{_imag_str(abs(im)).lstrip('+')}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def to_latex(self) -> str:
-        if self.im == 0:
-            return _frac_latex(self.re)
-        if self.re == 0:
-            return _imag_latex(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{_frac_latex(self.re)} {sign} {_imag_latex(abs(self.im))}"
+        re, im = self.re, self.im
+        if im == 0:
+            return _frac_latex(re)
+        if re == 0:
+            return _imag_latex(im)
+        sign = "+" if im > 0 else "-"
+        return f"{_frac_latex(re)} {sign} {_imag_latex(abs(im))}"
+
+
+# Slot setters that bypass the immutability guard; only the constructors use them.
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for ints with d > 0, unchecked; divides by the gcd only when d != 1."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    value = _new(GaussianRational)
+    _set_a(value, a)
+    _set_b(value, b)
+    _set_d(value, d)
+    return value
 
 
 def _imag_str(im: Fraction) -> str:

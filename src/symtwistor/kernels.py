@@ -432,6 +432,35 @@ def kernel_linear_solve(
     )
 
 
+def _eliminate(columns: Sequence[Sequence[GaussianRational]], nrows: int):
+    """Reduced row echelon form: (rows, {pivot column: its row}).
+
+    Pivots are taken column by column, each from the first row at or below
+    the current pivot row with a nonzero entry. The pivot row is normalised
+    and subtracted from every other row only on its own support.
+    """
+    ncols = len(columns)
+    rows = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
+    pivot_of_col: Dict[int, int] = {}
+    pivot_row = 0
+    for col in range(ncols):
+        found = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
+        inv = rows[pivot_row][col].inverse()
+        pivot = rows[pivot_row] = [v * inv if v else v for v in rows[pivot_row]]
+        support = [j for j, v in enumerate(pivot) if v]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != pivot_row and factor:
+                for j in support:
+                    row[j] = row[j] - factor * pivot[j]
+        pivot_of_col[col] = pivot_row
+        pivot_row += 1
+    return rows, pivot_of_col
+
+
 def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     """Basis of {c : sum_i c_i columns[i] = 0}, exact over Q(i).
 
@@ -439,26 +468,7 @@ def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     column, in ascending column order.
     """
     ncols = len(columns)
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    pivot_of_col: Dict[int, int] = {}
-    pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot_row, len(rows)):
-            if not rows[r][col].is_zero():
-                found = r
-                break
-        if found is None:
-            continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and not rows[r][col].is_zero():
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_of_col[col] = pivot_row
-        pivot_row += 1
+    rows, pivot_of_col = _eliminate(columns, nrows)
     free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     vectors = []
     for fc in free_cols:
@@ -471,8 +481,7 @@ def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
 
 
 def rank(columns: Sequence[Sequence[GaussianRational]], nrows: int) -> int:
-    ncols = len(columns)
-    return ncols - len(nullspace(columns, nrows))
+    return len(_eliminate(columns, nrows)[1])
 
 
 def spinor_columns(

@@ -7,6 +7,10 @@ Grammar (tightest first):
     expr    := term (("+" | "-") term)*
     primary := INT ["/" INT] | IDENT | "(" expr ")"
 
+Parentheses and unary minus signs together nest at most MAX_NESTING_DEPTH
+deep, which keeps the recursive descent inside Python's recursion limit;
+deeper input is an OperatorSyntaxError at the first token past the limit.
+
 Identifiers: the generator names of weyl.GENERATOR_NAMES (x y q dx dy dq
 in the xy basis, z zbar q dz dzbar dq in the zzbar basis) and i (the
 imaginary unit). "/" is only the rational-literal separator, never an
@@ -41,6 +45,8 @@ class UnknownSymbolError(OperatorSyntaxError):
         super().__init__(f"unknown symbol {name!r}", position)
         self.name = name
 
+
+MAX_NESTING_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -80,6 +86,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
         self.basis = _expression_basis(self.tokens)
 
     def peek(self) -> _Token | None:
@@ -93,6 +100,13 @@ class _Parser:
             raise OperatorSyntaxError("unexpected end of expression", len(self.text))
         self.index += 1
         return tok
+
+    def nest(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING_DEPTH:
+            raise OperatorSyntaxError(
+                f"nesting deeper than {MAX_NESTING_DEPTH} levels", tok.position
+            )
 
     def parse(self) -> WeylOperator:
         result = self.parse_expr()
@@ -125,7 +139,10 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "-":
             self.advance()
-            return -self.parse_unary()
+            self.nest(tok)
+            result = -self.parse_unary()
+            self.depth -= 1
+            return result
         return self.parse_power()
 
     def parse_power(self) -> WeylOperator:
@@ -167,12 +184,14 @@ class _Parser:
             return self.ident_operand(tok)
         if tok.kind == "(":
             self.advance()
+            self.nest(tok)
             inner = self.parse_expr()
             closing = self.peek()
             if closing is None or closing.kind != ")":
                 at = closing.position if closing else len(self.text)
                 raise OperatorSyntaxError("expected ')'", at)
             self.advance()
+            self.depth -= 1
             return inner
         raise OperatorSyntaxError(f"unexpected {tok.text!r}", tok.position)
 

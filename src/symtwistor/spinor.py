@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .exactnum import GaussianRational, ScalarLike
+from .exactnum import ZERO, GaussianRational, ScalarLike
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
 from .weyl import WeylOperator, generator_images
 
@@ -28,13 +28,17 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[ScalarLike] = ()):
-        items = [GaussianRational.coerce(c) for c in coeffs]
-        while items and items[-1].is_zero():
-            items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
+        _set_coeffs(self, _trimmed([GaussianRational.coerce(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
+
+    @staticmethod
+    def _make(items: list) -> "QPoly":
+        """Unchecked constructor: items is a fresh list of GaussianRational."""
+        poly = object.__new__(QPoly)
+        _set_coeffs(poly, _trimmed(items))
+        return poly
 
     @staticmethod
     def monomial(exponent: int, coeff: ScalarLike = 1) -> "QPoly":
@@ -49,7 +53,7 @@ class QPoly:
     def coefficient(self, exponent: int) -> GaussianRational:
         if 0 <= exponent < len(self.coeffs):
             return self.coeffs[exponent]
-        return GaussianRational(0)
+        return ZERO
 
     def parity(self) -> str:
         has_even = any(k % 2 == 0 and not c.is_zero() for k, c in enumerate(self.coeffs))
@@ -59,33 +63,35 @@ class QPoly:
         return ODD if has_odd else EVEN
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            [self.coefficient(k) + other.coefficient(k) for k in range(n)]
-        )
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        out.extend(b[len(a):])
+        return QPoly._make(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        out.extend(-y for y in b[len(a):])
+        return QPoly._make(out)
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
+        return QPoly._make([-c for c in self.coeffs])
 
     def scale(self, value: ScalarLike) -> "QPoly":
         v = GaussianRational.coerce(value)
         # zero padding from shift() and monomial() passes through unmultiplied
-        return QPoly([c if c.is_zero() else c * v for c in self.coeffs])
+        return QPoly._make([c * v if c else c for c in self.coeffs])
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""
         if self.is_zero() or k == 0:
             return self
-        return QPoly((GaussianRational(0),) * k + self.coeffs)
+        return QPoly._make([ZERO] * k + list(self.coeffs))
 
     def derivative(self) -> "QPoly":
-        return QPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+        return QPoly._make([c * k for k, c in enumerate(self.coeffs) if k])
 
     def weighted_dq(self) -> "QPoly":
         """d/dq through the implicit weight: p -> p' - q*p."""
@@ -144,6 +150,16 @@ class QPoly:
             except ValueError as exc:
                 raise ValueError(f"{where}[{k}]: {exc}") from None
         return QPoly(out)
+
+
+def _trimmed(items: list) -> tuple:
+    while items and not items[-1]:
+        items.pop()
+    return tuple(items)
+
+
+# Sets the coeffs slot past the immutability guard; only the constructors use it.
+_set_coeffs = QPoly.coeffs.__set__
 
 
 def _coeff_text(c: GaussianRational) -> str:
@@ -257,7 +273,7 @@ class Spinor:
             raise BasisMismatchError("coefficient_of expects an xy-basis spinor")
         poly = self.terms.get((e1, e2))
         if poly is None:
-            return GaussianRational(0)
+            return ZERO
         return poly.coefficient(qexp)
 
     def __eq__(self, other) -> bool:

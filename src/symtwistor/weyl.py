@@ -246,7 +246,7 @@ class WeylOperator:
 
     def apply(self, spinor):
         """Act on a weight-stripped Spinor (Dq acts as d/dq - q)."""
-        from .spinor import QPoly, Spinor
+        from .spinor import Spinor
 
         if self.basis is not spinor.basis:
             raise BasisMismatchError(
@@ -254,8 +254,9 @@ class WeylOperator:
                 f"{spinor.basis.value}"
             )
         acc: dict = {}
+        dq_chains = {key: [poly] for key, poly in spinor.terms.items()}  # [p, Dq p, Dq^2 p, ...]
         for (a, b, qc, d, e, f), coeff in self.terms.items():
-            for (m1, m2), poly in spinor.terms.items():
+            for (m1, m2), chain in dq_chains.items():
                 if d > m1 or e > m2:
                     continue
                 fall = 1
@@ -263,10 +264,9 @@ class WeylOperator:
                     fall *= m1 - t
                 for t in range(e):
                     fall *= m2 - t
-                p = poly
-                for _ in range(f):
-                    p = p.weighted_dq()
-                p = p.shift(qc).scale(coeff * fall)
+                while len(chain) <= f:
+                    chain.append(chain[-1].weighted_dq())
+                p = chain[f].shift(qc).scale(coeff * fall)
                 key = (m1 - d + a, m2 - e + b)
                 prev = acc.get(key)
                 acc[key] = p if prev is None else prev + p

@@ -355,6 +355,14 @@ def test_apply_missing_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_apply_deeply_nested_expression_exits_2(tmp_path, capsys):
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([1])))
+    code, out, err = run(capsys, "apply", "(" * 1200 + "x" + ")" * 1200, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nesting deeper than") and err.count("\n") == 1
+
+
 def test_apply_converts_operator_to_spinor_basis(tmp_path, capsys):
     path = write_spinor(tmp_path, Spinor.monomial(ZZ, 1, 0, QPoly([1])))
     # the xy Euler operator measures homogeneity in either basis
@@ -415,6 +423,20 @@ def test_decompose_mixed_homogeneity_splits(tmp_path, capsys):
     data = json.loads(out)
     degrees = [(c["homogeneity"], c["power"]) for c in data["components"]]
     assert degrees == [(0, 0), (1, 0), (0, 1)]
+
+
+def test_solver_guard_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    import symtwistor.cli as cli_mod
+
+    def failing_guard(s):
+        raise ArithmeticError("decomposition failed to reconstruct the input")
+
+    monkeypatch.setattr(cli_mod, "howe_decompose", failing_guard)
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 1, 0, QPoly([1])))
+    code, out, err = run(capsys, "decompose", path)
+    assert code == 1
+    assert out == ""
+    assert err == "error: decomposition failed to reconstruct the input\n"
 
 
 # ---- tables ----

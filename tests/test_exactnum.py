@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -159,3 +160,134 @@ def test_pow_matches_repeated_multiplication(a, n):
     for _ in range(n):
         expected = expected * a
     assert a**n == expected
+
+
+# ---- the reduced triple against a two-Fraction reference model ----
+
+# zeros, integers and fractions with denominators up to 30
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-20, max_value=20).map(Fraction),
+    st.fractions(min_value=-40, max_value=40, max_denominator=30),
+)
+pairs = st.tuples(parts, parts)
+nonzero_pairs = pairs.filter(lambda p: p != (0, 0))
+
+
+def m_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def m_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def m_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def m_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
+
+
+def m_pow(x, n):
+    if n < 0:
+        return m_pow(m_inverse(x), -n)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = m_mul(out, x)
+    return out
+
+
+def m_imag_str(v):
+    return "i" if v == 1 else "-i" if v == -1 else f"{v}i"
+
+
+def m_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return m_imag_str(im)
+    return f"{re}{'+' if im > 0 else '-'}{m_imag_str(abs(im))}"
+
+
+def m_frac_latex(v):
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+
+
+def m_imag_latex(v):
+    return "i" if v == 1 else "-i" if v == -1 else f"{m_frac_latex(v)} i"
+
+
+def m_latex(x):
+    re, im = x
+    if im == 0:
+        return m_frac_latex(re)
+    if re == 0:
+        return m_imag_latex(im)
+    return f"{m_frac_latex(re)} {'+' if im > 0 else '-'} {m_imag_latex(abs(im))}"
+
+
+def agrees(g, x):
+    """g has the model's value and is a reduced triple."""
+    a, b, d = g._a, g._b, g._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (g.re, g.im) == x
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    return True
+
+
+@given(pairs, pairs)
+def test_ring_operations_match_the_model(x, y):
+    gx, gy = G(*x), G(*y)
+    assert agrees(gx, x) and agrees(gy, y)
+    assert agrees(gx + gy, m_add(x, y))
+    assert agrees(gx - gy, m_sub(x, y))
+    assert agrees(gx * gy, m_mul(x, y))
+    assert agrees(-gx, (-x[0], -x[1]))
+    assert agrees(gx.conjugate(), (x[0], -x[1]))
+    # mixed operands: int and Fraction on either side
+    r = y[0]
+    assert agrees(gx + r, m_add(x, (r, 0))) and agrees(r + gx, m_add(x, (r, 0)))
+    assert agrees(gx - r, m_sub(x, (r, 0))) and agrees(r - gx, m_sub((r, 0), x))
+    assert agrees(gx * r, m_mul(x, (r, 0))) and agrees(r * gx, m_mul(x, (r, 0)))
+    n = r.numerator
+    assert agrees(gx * n, m_mul(x, (n, 0))) and agrees(n * gx, m_mul(x, (n, 0)))
+
+
+@given(pairs, nonzero_pairs, st.integers(min_value=-6, max_value=6))
+def test_division_and_powers_match_the_model(x, y, n):
+    gx, gy = G(*x), G(*y)
+    assert agrees(gy.inverse(), m_inverse(y))
+    assert agrees(gx / gy, m_mul(x, m_inverse(y)))
+    assert agrees(1 / gy, m_inverse(y))
+    assert agrees(gy**n, m_pow(y, n))
+    if n >= 0:
+        assert agrees(gx**n, m_pow(x, n))
+    if y[1] == 0:
+        assert agrees(gx / y[0], m_mul(x, m_inverse(y)))
+
+
+@given(pairs)
+def test_hash_equality_and_forms_match_the_model(x):
+    g = G(*x)
+    re, im = x
+    assert hash(g) == (hash(re) if im == 0 else hash((re, im)))
+    assert (g == re) == (im == 0)
+    assert (g == re.numerator) == (im == 0 and re.denominator == 1)
+    if im == 0 and re.denominator == 1:
+        assert hash(g) == hash(re.numerator)
+    assert g == G(*x) and hash(g) == hash(G(*x))
+    assert g.to_list() == [re.numerator, re.denominator, im.numerator, im.denominator]
+    back = GaussianRational.from_list(g.to_list())
+    assert agrees(back, x) and back == g
+    unreduced = [3 * re.numerator, -3 * re.denominator, 2 * im.numerator, 2 * im.denominator]
+    assert agrees(GaussianRational.from_list(unreduced), (-re, im))
+    assert str(g) == m_str(x)
+    assert g.to_latex() == m_latex(x)
+    assert g.is_zero() == (x == (0, 0)) == (not g)

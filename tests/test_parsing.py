@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from symtwistor.exactnum import G, I
-from symtwistor.parsing import OperatorSyntaxError, UnknownSymbolError, parse_operator
+from symtwistor.parsing import (
+    MAX_NESTING_DEPTH,
+    OperatorSyntaxError,
+    UnknownSymbolError,
+    parse_operator,
+)
 from symtwistor.weyl import BasisTag, WeylOperator
 
 from test_weyl import operators
@@ -139,6 +144,31 @@ def test_unbalanced_parens():
         parse_operator("(x + y")
     with pytest.raises(OperatorSyntaxError):
         parse_operator("x)")
+
+
+def test_nesting_up_to_the_limit_parses():
+    n = MAX_NESTING_DEPTH
+    assert parse_operator("(" * n + "x" + ")" * n) == gen("x")
+    assert parse_operator("-" * n + "x") == gen("x").scale((-1) ** n)
+    half = n // 2
+    assert parse_operator("(-" * half + "x" + ")" * half) == parse_operator("-" * half + "x")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 1200 + "x" + ")" * 1200,
+        "-" * 5000 + "x",
+        "(-" * 1000 + "x" + ")" * 1000,
+        "(" * (MAX_NESTING_DEPTH + 1) + "x" + ")" * (MAX_NESTING_DEPTH + 1),
+    ],
+)
+def test_nesting_past_the_limit_is_a_syntax_error(text):
+    # one level per '(' or unary '-'; the first token past the limit is reported
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_operator(text)
+    assert exc.value.position == MAX_NESTING_DEPTH
+    assert f"nesting deeper than {MAX_NESTING_DEPTH} levels" in str(exc.value)
 
 
 def test_slash_restricted_to_integer_literals():
