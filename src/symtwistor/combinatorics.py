@@ -41,11 +41,6 @@ def a_table(n: int) -> Dict[TableKey, int]:
     return table
 
 
-def xs_power_expand(n: int) -> WeylOperator:
-    """The n-th power of the raising operator, normal-ordered."""
-    return build_xs() ** n
-
-
 def a_table_from_power(n: int) -> Dict[TableKey, int]:
     """Read A^n_{jk} back out of the normal-ordered operator power.
 
@@ -53,7 +48,7 @@ def a_table_from_power(n: int) -> Dict[TableKey, int]:
     so the monomial (a, b, c, 0, 0, f) yields j = a - c, k = c and the
     table value coeff / i^a.
     """
-    op = xs_power_expand(n)
+    op = build_xs() ** n
     out: Dict[TableKey, int] = {}
     for (a, b, c, d, e, f), coeff in op.terms.items():
         if d or e:

@@ -350,11 +350,30 @@ def raising_chain(s: Spinor, n: int) -> List[Spinor]:
     return chain
 
 
+def reassemble(components: Sequence[HoweComponent], xs: WeylOperator) -> Spinor:
+    """sum_j X_s^j m_j, as m_0 + X_s(m_1 + X_s(m_2 + ...)): one xs apply per power.
+
+    A missing power counts as zero; components of equal power add.
+    """
+    zero = Spinor.zero(xs.basis)
+    layers: Dict[int, Spinor] = {}
+    for comp in components:
+        layers[comp.power] = layers.get(comp.power, zero) + comp.monogenic
+    top = max(layers, default=0)
+    out = layers.get(top, zero)
+    for power in range(top - 1, -1, -1):
+        out = xs.apply(out) + layers.get(power, zero)
+    return out
+
+
 def howe_decompose(s: Spinor) -> List[HoweComponent]:
     """Write s = sum_j X_s^j m_j with every m_j in the Dirac kernel.
 
-    Exact peeling (see _peel), then an independent guard: the components,
-    each lifted afresh by raising_chain, must sum back to s.
+    Peels the chain s, D_s s, D_s^2 s, ... from its last nonzero (monogenic)
+    entry up. A pair (m, X_s^p m) of the layer below becomes m/c at power
+    p+1, c its ladder constant, with image X_s (X_s^p m)/c: one raising step
+    per component and layer. What the images leave of a chain entry is its
+    power-0 component, listed first. Independent guard: reassemble must give s.
     """
     if s.is_zero():
         return []
@@ -363,41 +382,27 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
         raise NonHomogeneousError("howe_decompose needs a homogeneous spinor")
     xs = named_operator("xs", s.basis)
     ds = named_operator("ds", s.basis)
-    components = [comp for comp, _ in _peel(s, l, xs, ds)]
-    recon = Spinor.zero(s.basis)
-    for comp in components:
-        recon = recon + raising_chain(comp.monogenic, comp.power)[-1]
-    if recon != s:
+    chain = [s]
+    while not (image := ds.apply(chain[-1])).is_zero():
+        chain.append(image)
+    top = len(chain) - 1
+    pairs = [(HoweComponent(l - top, 0, chain[top]), chain[top])]
+    for level in range(top - 1, -1, -1):
+        lower, pairs, remainder = pairs, [], chain[level]
+        for comp, low_lifted in lower:
+            j = comp.power + 1
+            inv = ladder_constant(comp.homogeneity, j).inverse()
+            lifted = xs.apply(low_lifted).scale(inv)
+            pairs.append((HoweComponent(comp.homogeneity, j, comp.monogenic.scale(inv)), lifted))
+            remainder = remainder - lifted
+        if not remainder.is_zero():
+            if not ds.apply(remainder).is_zero():
+                raise ArithmeticError("peeling left a non-monogenic remainder")
+            pairs.insert(0, (HoweComponent(l - level, 0, remainder), remainder))
+    components = [comp for comp, _ in pairs]
+    if reassemble(components, xs) != s:
         raise ArithmeticError("decomposition failed to reconstruct the input")
     return components
-
-
-def _peel(
-    s: Spinor, l: int, xs: WeylOperator, ds: WeylOperator
-) -> List[Tuple[HoweComponent, Spinor]]:
-    """(component, X_s^power applied to its monogenic part) pairs summing to s.
-
-    Recursively peels D_s s. A lower pair (m, X_s^p m) becomes m/c at power
-    p+1, c its ladder constant, whose image is X_s (X_s^p m)/c: one raising
-    step per component and layer. What is left after subtracting the
-    images is the power-0 layer.
-    """
-    image = ds.apply(s)
-    if image.is_zero():
-        return [(HoweComponent(l, 0, s), s)]
-    pairs: List[Tuple[HoweComponent, Spinor]] = []
-    remainder = s
-    for comp, low_lifted in _peel(image, l - 1, xs, ds):
-        j = comp.power + 1
-        inv = ladder_constant(comp.homogeneity, j).inverse()
-        lifted = xs.apply(low_lifted).scale(inv)
-        pairs.append((HoweComponent(comp.homogeneity, j, comp.monogenic.scale(inv)), lifted))
-        remainder = remainder - lifted
-    if not remainder.is_zero():
-        if not ds.apply(remainder).is_zero():
-            raise ArithmeticError("peeling left a non-monogenic remainder")
-        pairs.insert(0, (HoweComponent(l, 0, remainder), remainder))
-    return pairs
 
 
 # ---- independent linear-algebra oracle ----

@@ -642,6 +642,7 @@ def _random_homogeneous_spinor(rng: random.Random, l: int, basis: BasisTag) -> S
 )
 def _howe_roundtrip() -> Optional[str]:
     rng = random.Random(_RANDOM_SEED + 2)
+    ops = {b: (named_operator("xs", b), named_operator("ds", b)) for b in (XY, ZZ)}
     for trial in range(100):
         l = rng.randint(0, 4)
         basis = XY if rng.random() < 0.5 else ZZ
@@ -649,8 +650,7 @@ def _howe_roundtrip() -> Optional[str]:
         if s.is_zero():
             continue
         comps = ker.howe_decompose(s)  # reconstruction is asserted inside
-        ds = named_operator("ds", basis)
-        recon = Spinor.zero(basis)
+        xs, ds = ops[basis]
         powers = set()
         for comp in comps:
             if comp.power in powers:
@@ -660,8 +660,7 @@ def _howe_roundtrip() -> Optional[str]:
                 return f"trial {trial}: layer degrees do not add up"
             if not ds.apply(comp.monogenic).is_zero():
                 return f"trial {trial}: layer j={comp.power} is not in the Dirac kernel"
-            recon = recon + ker.raising_chain(comp.monogenic, comp.power)[-1]
-        if recon != s:
+        if ker.reassemble(comps, xs) != s:
             return f"trial {trial}: reconstruction mismatch"
     return None
 

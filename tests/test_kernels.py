@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, MINUS_I
 from symtwistor.kernels import (
@@ -22,6 +25,7 @@ from symtwistor.kernels import (
     raising_chain,
     rank,
     ratio_at_leading,
+    reassemble,
     scalar_action,
     spinor_columns,
     solve_recursion,
@@ -234,6 +238,69 @@ def test_howe_decompose_works_in_xy_basis():
         recon = recon + lifted
     assert recon == s
     assert [(c.homogeneity, c.power) for c in comps] == [(1, 0), (0, 1)]
+
+
+def _recursion_depth() -> int:
+    """The interpreter's current recursion depth, C-level calls included."""
+
+    def descend(k):
+        try:
+            return descend(k + 1)
+        except RecursionError:
+            return k
+
+    return sys.getrecursionlimit() - descend(0)
+
+
+def test_howe_decompose_does_not_recurse_per_layer():
+    # e^{-q^2/2} zbar^16 has a layer at every power 0..16. One layer needs
+    # about 10 levels of headroom; a peel that recursed per layer would need
+    # about 23 here, so 16 levels must do.
+    s = Spinor.monomial(ZZ, 0, 16, [1])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_recursion_depth() + 16)
+    try:
+        comps = howe_decompose(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [c.power for c in comps] == list(range(17))
+    assert reassemble(comps, named_operator("xs", ZZ)) == s
+
+
+@pytest.mark.parametrize("basis", [XY, ZZ])
+def test_reassemble_treats_a_missing_power_as_zero(basis):
+    m0 = Spinor.monomial(basis, 2, 0, [1, 0, 3])
+    m2 = Spinor.monomial(basis, 0, 0, [0, G(0, 1)])
+    comps = [HoweComponent(2, 0, m0), HoweComponent(0, 2, m2)]
+    xs = named_operator("xs", basis)
+    assert reassemble(comps, xs) == m0 + raising_chain(m2, 2)[-1]
+    assert reassemble([], xs) == Spinor.zero(basis)
+
+
+_small_gaussians = st.builds(G, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def _homogeneous_spinors(draw):
+    basis = draw(st.sampled_from([XY, ZZ]))
+    l = draw(st.integers(0, 5))
+    terms = {}
+    for e1 in range(l + 1):
+        poly = QPoly(draw(st.lists(_small_gaussians, max_size=4)))
+        if not poly.is_zero():
+            terms[(e1, l - e1)] = poly
+    return Spinor(basis, terms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_homogeneous_spinors())
+def test_howe_layers_are_monogenic_and_reassemble(s):
+    comps = howe_decompose(s)
+    powers = [c.power for c in comps]
+    assert len(set(powers)) == len(powers)
+    ds = named_operator("ds", s.basis)
+    assert all(ds.apply(c.monogenic).is_zero() for c in comps)
+    assert reassemble(comps, named_operator("xs", s.basis)) == s
 
 
 # ---- linear-algebra oracle ----
