@@ -29,6 +29,12 @@ from .kernels import (
 )
 from .verify import VerificationReport, run_suite, suite_names
 
+# Work limits on command-line input; a larger value exits 2 before any work.
+MAX_TABLE_ORDER = 100  # the n of `tables`
+MAX_GENERATE_DEGREE = 100  # the m of `generate`
+MAX_GENERATE_QMAX = 256  # the --qmax of `generate`
+MAX_DECOMPOSE_HOMOGENEITY = 24  # the top position degree of a `decompose` input
+
 _LATEX_SPECIALS = {
     "\\": r"\textbackslash{}",
     "&": r"\&",
@@ -45,6 +51,11 @@ _LATEX_SPECIALS = {
 
 def _latex_escape(text: str) -> str:
     return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
+
+
+def _require_at_most(name: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{name} must be at most {limit}")
 
 
 def _dump_json(obj) -> str:
@@ -104,9 +115,11 @@ def _cmd_verify(args) -> Tuple[int, str]:
 def _cmd_generate(args) -> Tuple[int, str]:
     if args.m < 0:
         raise ValueError("m must be nonnegative")
+    _require_at_most("m", args.m, MAX_GENERATE_DEGREE)
+    if args.kind == "monogenic+" and args.qmax is not None:
+        raise ValueError("--qmax applies only to monogenic- and twistor")
+    _require_at_most("qmax", args.qmax or 0, MAX_GENERATE_QMAX)
     if args.kind == "monogenic+":
-        if args.qmax is not None:
-            raise ValueError("--qmax applies only to monogenic- and twistor")
         spinors = [monogenic_plus(args.m)]
     elif args.kind == "monogenic-":
         spinors = [monogenic_minus(args.m, args.qmax)]
@@ -141,6 +154,8 @@ def _homogeneous_parts(spinor: Spinor) -> List[Spinor]:
 
 def _cmd_decompose(args) -> Tuple[int, str]:
     spinor = _load_spinor(args.spinor_file)
+    top = max((e1 + e2 for e1, e2 in spinor.terms), default=0)
+    _require_at_most("homogeneity", top, MAX_DECOMPOSE_HOMOGENEITY)
     if args.basis:
         spinor = spinor.change_basis(BasisTag.parse(args.basis))
     components = []
@@ -205,6 +220,7 @@ def _grid_latex(rows: List[List[str]], ncols: int) -> str:
 def _cmd_tables(args) -> Tuple[int, str]:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
+    _require_at_most("n", args.n, MAX_TABLE_ORDER)
     n = args.n
     if args.which == "A":
         rows = _a_rows(n)

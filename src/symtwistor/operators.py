@@ -116,16 +116,27 @@ _BUILDERS = {
 }
 
 
+# (builder, basis) -> operator. Keyed on the builder object, so an entry of
+# _BUILDERS that is rebound (a test double, a tracer) starts with no cached value.
+_BUILT: dict = {}
+
+
 def operator_names() -> list[str]:
     return sorted(_BUILDERS)
 
 
 def named_operator(name: str, basis: BasisTag = BasisTag.XY) -> WeylOperator:
-    """Look up a distinguished operator by registry name, in the requested basis."""
+    """Look up a distinguished operator by registry name, in the requested basis.
+
+    Operators are immutable, so each (builder, basis) is built once and shared.
+    """
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(
             f"unknown operator {name!r}; known: {', '.join(operator_names())}"
         ) from None
-    return builder().change_basis(basis)
+    op = _BUILT.get((builder, basis))
+    if op is None:
+        op = _BUILT[(builder, basis)] = builder().change_basis(basis)
+    return op

@@ -10,6 +10,7 @@ Grammar (tightest first):
 Parentheses and unary minus signs together nest at most MAX_NESTING_DEPTH
 deep, which keeps the recursive descent inside Python's recursion limit;
 deeper input is an OperatorSyntaxError at the first token past the limit.
+An exponent above MAX_EXPONENT is an OperatorSyntaxError at the exponent.
 
 Identifiers: the generator names of weyl.GENERATOR_NAMES (x y q dx dy dq
 in the xy basis, z zbar q dz dzbar dq in the zzbar basis) and i (the
@@ -47,6 +48,7 @@ class UnknownSymbolError(OperatorSyntaxError):
 
 
 MAX_NESTING_DEPTH = 100
+MAX_EXPONENT = 64
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -155,7 +157,12 @@ class _Parser:
                 at = exp_tok.position if exp_tok else len(self.text)
                 raise OperatorSyntaxError("exponent must be a nonnegative integer", at)
             self.advance()
-            return base ** int(exp_tok.text)
+            exponent = int(exp_tok.text)
+            if exponent > MAX_EXPONENT:
+                raise OperatorSyntaxError(
+                    f"exponent must be at most {MAX_EXPONENT}", exp_tok.position
+                )
+            return base ** exponent
         return base
 
     def parse_primary(self) -> WeylOperator:

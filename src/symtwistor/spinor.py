@@ -9,9 +9,12 @@ model, only in renderings. Bases mirror weyl.BasisTag: (x, y) or
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .exactnum import ZERO, GaussianRational, ScalarLike
+from .exactnum import _make as _scalar  # unchecked (a + b*i)/d; QPoly reads the triple
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
 from .weyl import WeylOperator, generator_images
 
@@ -23,87 +26,117 @@ SPINOR_SCHEMA_VERSION = 1
 
 
 class QPoly:
-    """Polynomial in q; coefficient index = exponent; canonical (trimmed) tuple."""
+    """Polynomial in q over Q(i): Gaussian-integer numerators over one denominator.
 
-    __slots__ = ("coeffs",)
+    Coefficient k is (re[k] + i*im[k])/d, the layout of FLINT's fmpq_poly with
+    Z[i] numerators. The form is canonical: trailing zero coefficients are
+    trimmed, d > 0, d and all numerator parts have gcd 1, and the zero
+    polynomial has d == 1, so equality and hashing are structural. Each
+    operation works on the ints and reduces at most once per result; .coeffs
+    is a read-only view of the coefficients as GaussianRational.
+    """
+
+    __slots__ = ("_re", "_im", "_d")
 
     def __init__(self, coeffs: Sequence[ScalarLike] = ()):
-        _set_coeffs(self, _trimmed([GaussianRational.coerce(c) for c in coeffs]))
+        cs = [GaussianRational.coerce(c) for c in coeffs]
+        d = lcm(*(c._d for c in cs))
+        poly = _canonical([c._a * (d // c._d) for c in cs], [c._b * (d // c._d) for c in cs], d)
+        _set_re(self, poly._re)
+        _set_im(self, poly._im)
+        _set_d(self, poly._d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
 
     @staticmethod
-    def _make(items: list) -> "QPoly":
-        """Unchecked constructor: items is a fresh list of GaussianRational."""
-        poly = object.__new__(QPoly)
-        _set_coeffs(poly, _trimmed(items))
-        return poly
+    def monomial(exponent: int, coeff: ScalarLike = 1) -> "QPoly":
+        return QPoly([coeff]).shift(exponent)
 
     @staticmethod
-    def monomial(exponent: int, coeff: ScalarLike = 1) -> "QPoly":
-        return QPoly([0] * exponent + [coeff])
+    def combination(parts: Iterable[Tuple[GaussianRational, int, "QPoly"]]) -> "QPoly":
+        """Sum of c * q^k * p over the (c, k, p) in parts, built once over one denominator."""
+        parts = [(c, k, p) for c, k, p in parts if p._re]
+        d = lcm(*(c._d * p._d for c, _, p in parts))
+        size = max((k + len(p._re) for _, k, p in parts), default=0)
+        re, im = [0] * size, [0] * size
+        for c, k, p in parts:
+            f = d // (c._d * p._d)
+            a, b = c._a * f, c._b * f
+            for j, x, y in zip(range(k, size), p._re, p._im):
+                re[j] += x * a - y * b
+                im[j] += x * b + y * a
+        return _canonical(re, im, d)
+
+    @property
+    def coeffs(self) -> Tuple[GaussianRational, ...]:
+        d = self._d
+        return tuple(_scalar(a, b, d) for a, b in zip(self._re, self._im))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._re
 
     def degree(self) -> Optional[int]:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._re) - 1 if self._re else None
 
     def coefficient(self, exponent: int) -> GaussianRational:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self._re):
+            return _scalar(self._re[exponent], self._im[exponent], self._d)
         return ZERO
 
     def parity(self) -> str:
-        has_even = any(k % 2 == 0 and not c.is_zero() for k, c in enumerate(self.coeffs))
-        has_odd = any(k % 2 == 1 and not c.is_zero() for k, c in enumerate(self.coeffs))
-        if has_even and has_odd:
+        parities = {k % 2 for k, (a, b) in enumerate(zip(self._re, self._im)) if a or b}
+        if len(parities) == 2:
             return MIXED
-        return ODD if has_odd else EVEN
+        return ODD if parities == {1} else EVEN
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [x + y for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        out.extend(b[len(a):])
-        return QPoly._make(out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [x - y for x, y in zip(a, b)]
-        out.extend(a[len(b):])
-        out.extend(-y for y in b[len(a):])
-        return QPoly._make(out)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "QPoly":
-        return QPoly._make([-c for c in self.coeffs])
+        return _raw(tuple(-a for a in self._re), tuple(-b for b in self._im), self._d)
 
     def scale(self, value: ScalarLike) -> "QPoly":
         v = GaussianRational.coerce(value)
-        # zero padding from shift() and monomial() passes through unmultiplied
-        return QPoly._make([c * v if c else c for c in self.coeffs])
+        a, b, re, im = v._a, v._b, self._re, self._im
+        return _canonical(
+            [x * a - y * b for x, y in zip(re, im)], [x * b + y * a for x, y in zip(re, im)],
+            self._d * v._d,
+        )
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q^k."""
         if self.is_zero() or k == 0:
             return self
-        return QPoly._make([ZERO] * k + list(self.coeffs))
+        pad = (0,) * k
+        return _raw(pad + self._re, pad + self._im, self._d)
 
     def derivative(self) -> "QPoly":
-        return QPoly._make([c * k for k, c in enumerate(self.coeffs) if k])
+        re, im = self._re, self._im
+        return _canonical(
+            [k * re[k] for k in range(1, len(re))], [k * im[k] for k in range(1, len(im))], self._d
+        )
 
     def weighted_dq(self) -> "QPoly":
-        """d/dq through the implicit weight: p -> p' - q*p."""
-        return self.derivative() - self.shift(1)
+        """d/dq through the implicit weight: p -> p' - q*p.
+
+        Over Z the map is invertible on numerator vectors, so the result is
+        canonical over the same denominator without a gcd.
+        """
+        if self.is_zero():
+            return self
+        return _raw(_dq(self._re), _dq(self._im), self._d)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._d == other._d and self._re == other._re and self._im == other._im
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._re, self._im, self._d))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -152,14 +185,48 @@ class QPoly:
         return QPoly(out)
 
 
-def _trimmed(items: list) -> tuple:
-    while items and not items[-1]:
-        items.pop()
-    return tuple(items)
+# Slot setters past the immutability guard; only the constructors use them.
+_set_re = QPoly._re.__set__
+_set_im = QPoly._im.__set__
+_set_d = QPoly._d.__set__
 
 
-# Sets the coeffs slot past the immutability guard; only the constructors use it.
-_set_coeffs = QPoly.coeffs.__set__
+def _raw(re: tuple, im: tuple, d: int) -> QPoly:
+    """QPoly from numerator tuples over d that are already canonical (unchecked)."""
+    poly = object.__new__(QPoly)
+    _set_re(poly, re)
+    _set_im(poly, im)
+    _set_d(poly, d)
+    return poly
+
+
+def _canonical(re: list, im: list, d: int) -> QPoly:
+    """QPoly from fresh numerator lists over d > 0: trim, then divide by the gcd once."""
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    if d != 1:
+        g = gcd(d, *re, *im)  # d itself when re is empty, so zero gets d == 1
+        if g != 1:
+            re = [x // g for x in re]
+            im = [y // g for y in im]
+            d //= g
+    return _raw(tuple(re), tuple(im), d)
+
+
+def _sum(p: QPoly, r: QPoly, sign: int) -> QPoly:
+    """p + sign*r over the lcm of the two denominators."""
+    d = lcm(p._d, r._d)
+    f, g = d // p._d, sign * (d // r._d)
+    re = [x * f + y * g for x, y in zip_longest(p._re, r._re, fillvalue=0)]
+    im = [x * f + y * g for x, y in zip_longest(p._im, r._im, fillvalue=0)]
+    return _canonical(re, im, d)
+
+
+def _dq(v: tuple) -> tuple:
+    """Numerators of p' - q*p: entry k is (k+1)*v[k+1] - v[k-1], k = 0 .. len(v)."""
+    weights = range(1, len(v) + 2)
+    return tuple([k * x - y for k, x, y in zip(weights, v[1:] + (0, 0), (0,) + v)])
 
 
 def _coeff_text(c: GaussianRational) -> str:
@@ -296,13 +363,11 @@ class Spinor:
             for _ in range(max((key[slot] for key in self.terms), default=0)):
                 chain.append(chain[-1].compose(images[slot]))
             powers.append(chain)
-        out: dict = {}
+        parts: dict = {}  # target key -> [(scalar, 0, poly)]
         for (e1, e2), poly in self.terms.items():
             for (a, b, *_), scalar in powers[0][e1].compose(powers[1][e2]).terms.items():
-                add = poly.scale(scalar)
-                prev = out.get((a, b))
-                out[(a, b)] = add if prev is None else prev + add
-        return Spinor(target, out)
+                parts.setdefault((a, b), []).append((scalar, 0, poly))
+        return Spinor(target, {key: QPoly.combination(ps) for key, ps in parts.items()})
 
     # ---- serialization ----
 

@@ -246,14 +246,14 @@ class WeylOperator:
 
     def apply(self, spinor):
         """Act on a weight-stripped Spinor (Dq acts as d/dq - q)."""
-        from .spinor import Spinor
+        from .spinor import QPoly, Spinor
 
         if self.basis is not spinor.basis:
             raise BasisMismatchError(
                 f"operator basis {self.basis.value} does not match spinor basis "
                 f"{spinor.basis.value}"
             )
-        acc: dict = {}
+        parts: dict = {}  # output key -> [(scalar, q shift, Dq^f p)], summed once per key
         dq_chains = {key: [poly] for key, poly in spinor.terms.items()}  # [p, Dq p, Dq^2 p, ...]
         for (a, b, qc, d, e, f), coeff in self.terms.items():
             for (m1, m2), chain in dq_chains.items():
@@ -266,11 +266,8 @@ class WeylOperator:
                     fall *= m2 - t
                 while len(chain) <= f:
                     chain.append(chain[-1].weighted_dq())
-                p = chain[f].shift(qc).scale(coeff * fall)
-                key = (m1 - d + a, m2 - e + b)
-                prev = acc.get(key)
-                acc[key] = p if prev is None else prev + p
-        return Spinor(spinor.basis, acc)
+                parts.setdefault((m1 - d + a, m2 - e + b), []).append((coeff * fall, qc, chain[f]))
+        return Spinor(spinor.basis, {key: QPoly.combination(ps) for key, ps in parts.items()})
 
     # ---- structure / rendering ----
 

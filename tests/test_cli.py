@@ -2,9 +2,16 @@ import json
 
 import pytest
 
-from symtwistor.cli import main
+from symtwistor.cli import (
+    MAX_DECOMPOSE_HOMOGENEITY,
+    MAX_GENERATE_DEGREE,
+    MAX_GENERATE_QMAX,
+    MAX_TABLE_ORDER,
+    main,
+)
 from symtwistor.exactnum import GaussianRational as G
 from symtwistor.kernels import monogenic_minus
+from symtwistor.parsing import MAX_EXPONENT
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisTag
 
@@ -470,6 +477,42 @@ def test_tables_flat_json(capsys):
 def test_tables_negative_n_is_error(capsys):
     code, _, err = run(capsys, "tables", "A", "-1")
     assert code == 2
+
+
+# ---- work limits ----
+
+
+@pytest.mark.parametrize(
+    "argv, name, limit",
+    [
+        (["tables", "A", "1000000"], "n", MAX_TABLE_ORDER),
+        (["tables", "stirling-tilde", str(MAX_TABLE_ORDER + 1)], "n", MAX_TABLE_ORDER),
+        (["generate", "monogenic-", "1000000"], "m", MAX_GENERATE_DEGREE),
+        (["generate", "twistor", str(MAX_GENERATE_DEGREE + 1)], "m", MAX_GENERATE_DEGREE),
+        (["generate", "monogenic-", "1", "--qmax", "1000000000"], "qmax", MAX_GENERATE_QMAX),
+    ],
+)
+def test_table_and_generate_limits_exit_2_before_any_work(capsys, argv, name, limit):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be at most {limit}\n"
+
+
+def test_apply_exponent_limit(tmp_path, capsys):
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([1])))
+    code, out, err = run(capsys, "apply", "x^99999999999999999999", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent must be at most {MAX_EXPONENT} (at position 2)\n"
+    code, out, _ = run(capsys, "apply", f"x^{MAX_EXPONENT}", path)
+    assert code == 0 and out.strip() == f"exp(-q^2/2) * ((1)*x^{MAX_EXPONENT})"
+
+
+@pytest.mark.parametrize("e1", [MAX_DECOMPOSE_HOMOGENEITY + 1, 10**9])
+def test_decompose_homogeneity_limit_is_checked_before_the_basis_change(tmp_path, capsys, e1):
+    path = write_spinor(tmp_path, Spinor.monomial(XY, e1, 0, QPoly([1])))
+    code, out, err = run(capsys, "decompose", path, "--basis", "zzbar")
+    assert (code, out) == (2, "")
+    assert err == f"error: homogeneity must be at most {MAX_DECOMPOSE_HOMOGENEITY}\n"
 
 
 # ---- plumbing ----

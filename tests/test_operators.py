@@ -119,3 +119,26 @@ def test_rho_h_scalar_shift():
     s = Spinor.monomial(XY, 0, 2, QPoly([1]))
     out = build_rho_h().apply(s)
     assert out == Spinor(XY, {(0, 2): QPoly([Fraction(5, 2), 0, -1])})
+
+
+def test_named_operator_is_built_once_per_basis():
+    assert named_operator("xs", ZZ) is named_operator("xs", ZZ)
+    assert named_operator("xs", XY) is not named_operator("xs", ZZ)
+
+
+def test_rebound_registry_entry_is_built_on_the_next_lookup(monkeypatch):
+    from symtwistor import operators
+
+    calls = []
+
+    def doubled_xs():
+        calls.append(1)
+        return build_xs().scale(2)
+
+    named_operator("xs", ZZ)
+    monkeypatch.setitem(operators._BUILDERS, "xs", doubled_xs)
+    assert named_operator("xs", ZZ) == build_xs().change_basis(ZZ).scale(2)
+    assert named_operator("xs", ZZ) is named_operator("xs", ZZ)
+    assert calls == [1]
+    monkeypatch.undo()
+    assert named_operator("xs", ZZ) == build_xs().change_basis(ZZ)

@@ -1,13 +1,16 @@
 import json
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
+from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, MIXED, ODD, QPoly, Spinor
-from symtwistor.weyl import BasisMismatchError, BasisTag, WeylOperator
+from symtwistor.weyl import GENERATOR_NAMES, BasisMismatchError, BasisTag, WeylOperator
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
 
@@ -249,3 +252,104 @@ def test_change_basis_additive(a, b):
 @given(spinors())
 def test_json_round_trip_property(s):
     assert Spinor.from_json(json.loads(json.dumps(s.to_json()))) == s
+
+
+# ---- the shared-denominator layout against a coefficient-wise reference ----
+
+qlists = st.lists(st.one_of(st.just(G(0)), coeffs), max_size=6)
+
+
+def ref_add(a, b):
+    return [x + y for x, y in zip_longest(a, b, fillvalue=G(0))]
+
+
+def ref_dq(a):
+    """p' - q*p on a coefficient list."""
+    return ref_add([a[k] * k for k in range(1, len(a))], [G(0)] + [-x for x in a])
+
+
+def assert_canonical(p):
+    re, im, d = p._re, p._im, p._d
+    assert d > 0 and len(re) == len(im)
+    assert not re or re[-1] or im[-1]
+    assert gcd(d, *re, *im) == 1  # d == 1 for the zero polynomial
+    assert p.coeffs == tuple(G(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im))
+
+
+def assert_matches(got, ref):
+    assert_canonical(got)
+    while ref and ref[-1].is_zero():
+        ref = ref[:-1]
+    assert got.coeffs == tuple(ref)
+    assert got == QPoly(ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(qlists, qlists, coeffs, st.integers(min_value=0, max_value=3))
+def test_qpoly_operations_match_coefficientwise_reference(a, b, c, k):
+    p, r = QPoly(a), QPoly(b)
+    assert_matches(p, list(a))
+    assert_matches(p + r, ref_add(a, b))
+    assert_matches(p - r, ref_add(a, [-y for y in b]))
+    assert_matches(-p, [-x for x in a])
+    assert_matches(p.scale(c), [x * c for x in a])
+    assert_matches(p.shift(k), [G(0)] * k + list(a) if not p.is_zero() else [])
+    assert_matches(p.derivative(), [a[j] * j for j in range(1, len(a))])
+    assert_matches(p.weighted_dq(), ref_dq(list(a)))
+    assert_matches(QPoly.combination([(c, k, p), (G(0, 1), 0, r)]),
+                   ref_add([G(0)] * k + [x * c for x in a], [y * I for y in b]))
+    assert [p.coefficient(j) for j in range(-1, len(a) + 2)] == [
+        G(0), *(list(p.coeffs) + [G(0)] * (len(a) + 2 - len(p.coeffs)))
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(qlists, qlists)
+def test_qpoly_equality_and_hash_are_coefficientwise(a, b):
+    p, r = QPoly(a), QPoly(b)
+    assert (p == r) == (p.coeffs == r.coeffs)
+    same = QPoly(list(a) + [G(0), G(0)]).scale(3).scale(Fraction(1, 3))
+    assert same == p and hash(same) == hash(p) and same.coeffs == p.coeffs
+    assert (p - p).coeffs == () and hash(p - p) == hash(QPoly())
+
+
+@st.composite
+def operator_strings(draw, basis):
+    """Random sums of products of generators, parsed in the given basis."""
+    names = GENERATOR_NAMES[basis]
+    factor = st.tuples(st.sampled_from(names), st.integers(min_value=1, max_value=2))
+    scalar = st.sampled_from(["1", "i", "-2", "(1/2)", "(3/2*i)", "(1 - i)"])
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        factors = draw(st.lists(factor, min_size=0, max_size=3))
+        body = [n if e == 1 else f"{n}^{e}" for n, e in factors]
+        terms.append("*".join([draw(scalar)] + body))
+    return " + ".join(terms)
+
+
+def reference_apply(op, s):
+    """Each (operator term, spinor term) pair applied and summed on coefficient lists."""
+    out = {}
+    for (a, b, qc, d, e, f), c in op.terms.items():
+        for (m1, m2), poly in s.terms.items():
+            if d > m1 or e > m2:
+                continue
+            q = list(poly.coeffs)
+            for _ in range(f):
+                q = ref_dq(q)
+            weight = c * (perm(m1, d) * perm(m2, e))
+            key = (m1 - d + a, m2 - e + b)
+            out[key] = ref_add(out.get(key, []), [G(0)] * qc + [x * weight for x in q])
+    return Spinor(s.basis, {key: QPoly(q) for key, q in out.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_term_by_term_reference(data):
+    basis = data.draw(st.sampled_from([XY, ZZ]))
+    op = parse_operator(data.draw(operator_strings(basis)), basis)  # q, dq, i alone parse as xy
+    s = data.draw(spinors(basis))
+    got = op.apply(s)
+    assert got == reference_apply(op, s)
+    for poly in got.terms.values():
+        assert_canonical(poly)
