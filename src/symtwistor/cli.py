@@ -34,6 +34,7 @@ MAX_TABLE_ORDER = 100  # the n of `tables`
 MAX_GENERATE_DEGREE = 100  # the m of `generate`
 MAX_GENERATE_QMAX = 256  # the --qmax of `generate`
 MAX_DECOMPOSE_HOMOGENEITY = 24  # the top position degree of a `decompose` input
+MAX_APPLY_DEGREE = 100  # the top position degree of an `apply` input
 
 _LATEX_SPECIALS = {
     "\\": r"\textbackslash{}",
@@ -56,6 +57,10 @@ def _latex_escape(text: str) -> str:
 def _require_at_most(name: str, value: int, limit: int) -> None:
     if value > limit:
         raise ValueError(f"{name} must be at most {limit}")
+
+
+def _top_degree(spinor: Spinor) -> int:
+    return max((e1 + e2 for e1, e2 in spinor.terms), default=0)
 
 
 def _dump_json(obj) -> str:
@@ -135,6 +140,7 @@ def _cmd_generate(args) -> Tuple[int, str]:
 
 def _cmd_apply(args) -> Tuple[int, str]:
     spinor = _load_spinor(args.spinor_file)
+    _require_at_most("position degree", _top_degree(spinor), MAX_APPLY_DEGREE)
     target = BasisTag.parse(args.basis) if args.basis else spinor.basis
     spinor = spinor.change_basis(target)
     op = parse_operator(args.op_expr, target)
@@ -154,8 +160,7 @@ def _homogeneous_parts(spinor: Spinor) -> List[Spinor]:
 
 def _cmd_decompose(args) -> Tuple[int, str]:
     spinor = _load_spinor(args.spinor_file)
-    top = max((e1 + e2 for e1, e2 in spinor.terms), default=0)
-    _require_at_most("homogeneity", top, MAX_DECOMPOSE_HOMOGENEITY)
+    _require_at_most("homogeneity", _top_degree(spinor), MAX_DECOMPOSE_HOMOGENEITY)
     if args.basis:
         spinor = spinor.change_basis(BasisTag.parse(args.basis))
     components = []

@@ -5,12 +5,14 @@ ansatz
 
     sum_r A^r(q) z^r zbar^(m-r),   A^r(q) = sum_{k even} a[r][k] q^k,
 
-with an extra overall factor q for the odd-parity kinds. It fills the
-table bottom-up from A^0 = seed, reporting coefficients the relation
-family leaves undetermined as named free parameters instead of guessing
-them. Every returned element is verified by exact operator application;
-a residual supported strictly below the truncation boundary is a solver
-bug and raises.
+with an extra overall factor q for the odd-parity kinds. Each of the six
+relation families is data (_relation): lead * a[r][k] = sum of w *
+a[r-dr][k-dk]. One fill rule serves them all: a slot whose lead is 0 is
+an input, anything else is solved bottom-up. Row 0 holds the seed A^0;
+the inputs above it are reported as named free parameters instead of
+guessed. Every returned element is verified by exact operator
+application; a residual supported strictly below the truncation
+boundary is a solver bug and raises.
 
 kernel_linear_solve is the independent oracle: plain exact linear
 algebra over Q(i) on the coefficient space, no recursion involved.
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import GaussianRational, G, MINUS_I
@@ -98,95 +101,69 @@ class KernelFamily:
 # ---- the six relation families ----
 
 
-def _first_order_factor(kind: RecursionKind, k: int) -> int:
-    if kind is RecursionKind.DS_ODD:
-        return k + 1
-    if kind in (RecursionKind.DS_EVEN, RecursionKind.TS_ODD):
-        return k
-    if kind is RecursionKind.TS_EVEN:
-        return k - 1
-    raise ValueError(f"{kind} is not first-order")
+@lru_cache(maxsize=1 << 16)  # bounded: one entry per (kind, m, r, k) ever filled
+def _relation(kind: RecursionKind, m: int, r: int, k: int):
+    """(lead, terms) with lead * a[r][k] = sum of w * a[r-dr][k-dk] over terms (dr, dk, w).
+
+    Only terms with a nonzero weight inside the table are listed. A slot
+    whose lead is 0 is an input: no relation fixes it.
+    """
+    if kind.second_order:
+        if k == 0:
+            return 0, ()
+        j = k - 2
+        if kind is RecursionKind.DS2_EVEN:
+            K, B = (j + 2) * (j + 1), 2 * j + 1
+        else:
+            K, B = (j + 2) * (j + 3), 2 * j + 3
+        mid = (r - 1) * (m - r + 1)
+        low = (m - r + 1) * (m - r + 2)
+        lead = r * (r - 1) * K
+        terms = ((1, 0, -2 * K * mid), (1, 2, 2 * B * mid),
+                 (2, 0, -K * low), (2, 2, 2 * B * low), (2, 4, -4 * low))
+    else:
+        f = {RecursionKind.DS_ODD: k + 1, RecursionKind.TS_EVEN: k - 1}.get(kind, k)
+        lead = r * f
+        terms = ((1, 0, -f * (m - r + 1)), (1, 2, 2 * (m - r + 1)))
+    return lead, tuple(t for t in terms if t[2] and t[0] <= r and t[1] <= k)
 
 
-def _solve_table(
-    kind: RecursionKind,
-    m: int,
-    seed: QPoly,
-    qmax: int,
-    unit_free: Optional[Tuple[int, int]],
-) -> Tuple[List[List[GaussianRational]], List[Tuple[int, int]]]:
-    """Fill a[r][k] bottom-up; returns (table, free parameter slots).
+def _inputs(kind: RecursionKind, m: int, qmax: int) -> List[Tuple[int, int]]:
+    """The input slots (r, k) in fill order: row 0 is the seed, the rest are free."""
+    return [(r, k) for r in range(m + 1) for k in range(0, qmax + 1, 2)
+            if _relation(kind, m, r, k)[0] == 0]
 
-    unit_free: slot set to 1 instead of 0 (used to produce the basis
-    element attached to that free parameter).
+
+def _fill(kind: RecursionKind, m: int, qmax: int, inputs) -> Spinor:
+    """The spinor of the table a[r][k], filled bottom-up.
+
+    An input slot takes its value from inputs (zero when absent); every
+    other slot solves its relation.
     """
     zero = G(0)
-    a = [[zero for _ in range(qmax + 1)] for _ in range(m + 1)]
-    for k in range(0, qmax + 1, 2):
-        a[0][k] = GaussianRational.coerce(seed.coefficient(k))
-    free_slots: List[Tuple[int, int]] = []
-
-    def free_value(r: int, k: int) -> GaussianRational:
-        free_slots.append((r, k))
-        return G(1) if unit_free == (r, k) else zero
-
-    def at(r: int, k: int) -> GaussianRational:
-        if r < 0 or k < 0 or k > qmax:
-            return zero
-        return a[r][k]
-
-    if not kind.second_order:
-        for r in range(1, m + 1):
-            for k in range(0, qmax + 1, 2):
-                f = _first_order_factor(kind, k)
-                lead = r * f
-                rhs = (at(r - 1, k - 2) * 2 - at(r - 1, k) * f) * (m - r + 1)
-                if lead == 0:
-                    if not rhs.is_zero():
-                        raise ArithmeticError(
-                            f"inconsistent relation at r={r}, k={k} for {kind.value}"
-                        )
-                    a[r][k] = free_value(r, k)
-                else:
-                    a[r][k] = rhs / lead
-    else:
-        if m >= 1:
-            for k in range(0, qmax + 1, 2):
-                a[1][k] = free_value(1, k)
-        for r in range(2, m + 1):
-            a[r][0] = free_value(r, 0)
-            for k2 in range(2, qmax + 1, 2):
-                k = k2 - 2
-                if kind is RecursionKind.DS2_EVEN:
-                    K, B = (k + 2) * (k + 1), 2 * k + 1
-                else:
-                    K, B = (k + 2) * (k + 3), 2 * k + 3
-                mid = (r - 1) * (m - r + 1)
-                low = (m - r + 1) * (m - r + 2)
-                rhs = (
-                    at(r - 1, k2) * (2 * K * mid)
-                    - at(r - 1, k) * (2 * B * mid)
-                    + at(r - 2, k2) * (K * low)
-                    - at(r - 2, k) * (2 * B * low)
-                    + at(r - 2, k - 2) * (4 * low)
+    a = [[zero] * (qmax + 1) for _ in range(m + 1)]
+    for r, row in enumerate(a):
+        for k in range(0, qmax + 1, 2):
+            lead, terms = _relation(kind, m, r, k)
+            rhs = zero
+            for dr, dk, w in terms:
+                v = a[r - dr][k - dk]
+                if v:
+                    rhs = rhs + v * w
+            if lead:
+                row[k] = rhs / lead
+            elif rhs:
+                raise ArithmeticError(
+                    f"inconsistent relation at r={r}, k={k} for {kind.value}"
                 )
-                a[r][k2] = -rhs / (r * (r - 1) * K)
-    return a, free_slots
-
-
-def _table_to_spinor(kind: RecursionKind, m: int, table) -> Spinor:
+            else:
+                row[k] = inputs.get((r, k), zero)
     shift = 1 if kind.parity == ODD else 0
-    terms = {}
-    for r in range(m + 1):
-        poly = QPoly(table[r]).shift(shift)
-        if not poly.is_zero():
-            terms[(r, m - r)] = poly
-    return Spinor(BasisTag.ZZBAR, terms)
+    return Spinor(BasisTag.ZZBAR, {(r, m - r): QPoly(a[r]).shift(shift) for r in range(m + 1)})
 
 
-def _classify_residual(element: Spinor, op: WeylOperator, qmax: int) -> bool:
+def _classify_residual(residual: Spinor, qmax: int) -> bool:
     """False = exact global solution, True = truncation artifact; raises on a bug."""
-    residual = op.apply(element)
     if residual.is_zero():
         return False
     if residual.min_q_degree() >= qmax:
@@ -197,46 +174,58 @@ def _classify_residual(element: Spinor, op: WeylOperator, qmax: int) -> bool:
     )
 
 
+def _check_window(m: int, qmax: int) -> None:
+    if m < 0:
+        raise ValueError("homogeneity must be nonnegative")
+    if qmax % 2 != 0 or qmax < 2 * m + 2:
+        raise ValueError("qmax must be even and at least 2m+2")
+
+
 def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> KernelFamily:
     """Solve the kind's relation family for homogeneity m, A-degree <= qmax.
 
     The first basis element is driven by the seed (all free parameters
     zero); each further element corresponds to one free parameter set to
-    one with a zero seed. The free parameters are exactly the table
-    slots no relation determines: a[r][0] where the leading factor
-    vanishes, plus the whole a[1] row for the second-order kinds.
+    one with a zero seed. The free parameters are the input slots above
+    row 0: a[r][0] where the leading factor vanishes, plus the whole a[1]
+    row for the second-order kinds.
     """
-    if m < 0:
-        raise ValueError("homogeneity must be nonnegative")
-    if qmax % 2 != 0 or qmax < 2 * m + 2:
-        raise ValueError("qmax must be even and at least 2m+2")
+    _check_window(m, qmax)
     if any(k % 2 == 1 and not c.is_zero() for k, c in enumerate(seed.coeffs)):
         raise ParityMismatchError("seed must be supported on even powers of q")
     if seed.degree() is not None and seed.degree() > qmax:
         raise ValueError("seed degree exceeds qmax")
 
     op = operator_for_kind(kind)
-    table, free_slots = _solve_table(kind, m, seed, qmax, None)
-    elements: List[Spinor] = []
-    flags: List[bool] = []
-    seeded = _table_to_spinor(kind, m, table)
-    if not seeded.is_zero():
-        elements.append(seeded)
-        flags.append(_classify_residual(seeded, op, qmax))
-    zero_seed = QPoly()
-    for slot in free_slots:
-        table_f, _ = _solve_table(kind, m, zero_seed, qmax, slot)
-        elem = _table_to_spinor(kind, m, table_f)
-        elements.append(elem)
-        flags.append(_classify_residual(elem, op, qmax))
+    free = [slot for slot in _inputs(kind, m, qmax) if slot[0] > 0]
+    seeded = _fill(kind, m, qmax, {(0, k): seed.coefficient(k) for k in range(0, qmax + 1, 2)})
+    elements = ([seeded] if not seeded.is_zero() else []) + [
+        _fill(kind, m, qmax, {slot: G(1)}) for slot in free
+    ]
     return KernelFamily(
         homogeneity=m,
         kind=kind,
         qmax=qmax,
         basis=tuple(elements),
-        free_parameters=tuple(f"a[r={r},k={k}]" for r, k in free_slots),
-        extends_beyond_truncation=tuple(flags),
+        free_parameters=tuple(f"a[r={r},k={k}]" for r, k in free),
+        extends_beyond_truncation=tuple(_classify_residual(op.apply(e), qmax) for e in elements),
     )
+
+
+def recursion_span(kind: RecursionKind, m: int, qmax: int) -> List[Spinor]:
+    """Basis of the exact solutions among all tables the kind's relations allow.
+
+    One fill per input slot, seed row included; the exact combinations are
+    the nullspace of the fills' residuals, each checked as in solve_recursion.
+    """
+    _check_window(m, qmax)
+    op = operator_for_kind(kind)
+    elements = [_fill(kind, m, qmax, {slot: G(1)}) for slot in _inputs(kind, m, qmax)]
+    residuals = [op.apply(e) for e in elements]
+    for residual in residuals:
+        _classify_residual(residual, qmax)
+    columns, nrows = spinor_columns(residuals)
+    return [linear_combination(vec, elements) for vec in nullspace(columns, nrows)]
 
 
 # ---- distinguished kernel elements ----
@@ -564,14 +553,5 @@ def holomorphic_family_member(n: int) -> Spinor:
 
 
 def holomorphic_family_check(n: int) -> bool:
-    """Twistor annihilation of q e^{-q^2/2} z^n plus the defining ODE.
-
-    The ODE (1 - q^2) f = q f' for f = q e^{-q^2/2}, written on stored
-    (weight-stripped) data with the weighted derivative.
-    """
-    ts_z = named_operator("ts", BasisTag.ZZBAR)
-    annihilated = ts_z.apply(holomorphic_family_member(n)).is_zero()
-    f = QPoly([0, 1])
-    lhs = f - f.shift(2)  # (1 - q^2) f
-    rhs = f.weighted_dq().shift(1)  # q f'
-    return annihilated and lhs == rhs
+    """Twistor annihilation of q e^{-q^2/2} z^n."""
+    return named_operator("ts", BasisTag.ZZBAR).apply(holomorphic_family_member(n)).is_zero()

@@ -11,6 +11,9 @@ Parentheses and unary minus signs together nest at most MAX_NESTING_DEPTH
 deep, which keeps the recursive descent inside Python's recursion limit;
 deeper input is an OperatorSyntaxError at the first token past the limit.
 An exponent above MAX_EXPONENT is an OperatorSyntaxError at the exponent.
+A product, and each step of a power, is an OperatorSyntaxError at its "*"
+or "^" when its operands' term counts multiply to more than
+MAX_COMPOSE_PAIRS; the check comes before the composition.
 
 Identifiers: the generator names of weyl.GENERATOR_NAMES (x y q dx dy dq
 in the xy basis, z zbar q dz dzbar dq in the zzbar basis) and i (the
@@ -49,6 +52,7 @@ class UnknownSymbolError(OperatorSyntaxError):
 
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 64
+MAX_COMPOSE_PAIRS = 100_000  # term pairs of one composition, checked before it
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -134,8 +138,7 @@ class _Parser:
             if tok is None or tok.kind != "*":
                 return acc
             self.advance()
-            rhs = self.parse_unary()
-            acc = acc.compose(rhs)
+            acc = _compose(acc, self.parse_unary(), tok)
 
     def parse_unary(self) -> WeylOperator:
         tok = self.peek()
@@ -162,7 +165,10 @@ class _Parser:
                 raise OperatorSyntaxError(
                     f"exponent must be at most {MAX_EXPONENT}", exp_tok.position
                 )
-            return base ** exponent
+            result = WeylOperator.identity(self.basis)
+            for _ in range(exponent):
+                result = _compose(result, base, tok)
+            return result
         return base
 
     def parse_primary(self) -> WeylOperator:
@@ -217,6 +223,15 @@ class _Parser:
             f"{self.basis.value} expression",
             tok.position,
         )
+
+
+def _compose(a: WeylOperator, b: WeylOperator, tok: _Token) -> WeylOperator:
+    """a.compose(b), refused before any work when it exceeds MAX_COMPOSE_PAIRS."""
+    if len(a.terms) * len(b.terms) > MAX_COMPOSE_PAIRS:
+        raise OperatorSyntaxError(
+            f"product needs more than {MAX_COMPOSE_PAIRS} term pairs", tok.position
+        )
+    return a.compose(b)
 
 
 def _generator_bases(name: str) -> list[BasisTag]:

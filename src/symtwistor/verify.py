@@ -555,10 +555,8 @@ def _random_twistor_in_ds2() -> Optional[str]:
         m = rng.randint(0, 5)
         if m not in bases:
             bases[m] = ker.kernel_linear_solve(ts_z, m, 2 * m + 7)
-        family = bases[m]
-        member = Spinor.zero(ZZ)
-        for el in family.basis:
-            member = member + el.scale(_random_gaussian(rng))
+        basis = bases[m].basis
+        member = ker.linear_combination([_random_gaussian(rng) for _ in basis], basis)
         if member.is_zero():
             continue
         if not ts_z.apply(member).is_zero():
@@ -579,32 +577,6 @@ def _spans_equal(a: List[Spinor], b: List[Spinor]) -> bool:
     )
 
 
-def _recursion_exact_span(kind: ker.RecursionKind, m: int, qmax: int) -> List[Spinor]:
-    """All exact solutions reachable from unit seeds and unit free parameters."""
-    op = ker.operator_for_kind(kind)
-    elements: List[Spinor] = []
-    residuals: List[Spinor] = []
-
-    def add(el: Spinor):
-        if not el.is_zero():
-            elements.append(el)
-            residuals.append(op.apply(el))
-
-    for el in ker.solve_recursion(kind, m, QPoly(), qmax).basis:
-        add(el)
-    for j in range(0, qmax + 1, 2):
-        family = ker.solve_recursion(kind, m, QPoly.monomial(j), qmax)
-        if family.basis:
-            add(family.basis[0])
-    rcols, rn = ker.spinor_columns(residuals)
-    exact: List[Spinor] = []
-    for combo in ker.nullspace(rcols, rn):
-        s = ker.linear_combination(combo, elements)
-        if not s.is_zero():
-            exact.append(s)
-    return exact
-
-
 @_check(
     "oracle.recursion-vs-linear",
     "recursion solutions and the exact linear-algebra kernel span the same space, all kinds, m <= 4",
@@ -619,7 +591,7 @@ def _oracle_recursion_vs_linear() -> Optional[str]:
             linear = ker.kernel_linear_solve(
                 ker.operator_for_kind(kind), m, qdeg, parity=kind.parity
             )
-            exact = _recursion_exact_span(kind, m, qmax)
+            exact = ker.recursion_span(kind, m, qmax)
             if not _spans_equal(exact, list(linear.basis)):
                 return f"{kind.value}, m={m}: spans differ"
     return None

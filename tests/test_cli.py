@@ -3,6 +3,7 @@ import json
 import pytest
 
 from symtwistor.cli import (
+    MAX_APPLY_DEGREE,
     MAX_DECOMPOSE_HOMOGENEITY,
     MAX_GENERATE_DEGREE,
     MAX_GENERATE_QMAX,
@@ -11,7 +12,7 @@ from symtwistor.cli import (
 )
 from symtwistor.exactnum import GaussianRational as G
 from symtwistor.kernels import monogenic_minus
-from symtwistor.parsing import MAX_EXPONENT
+from symtwistor.parsing import MAX_COMPOSE_PAIRS, MAX_EXPONENT
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisTag
 
@@ -513,6 +514,31 @@ def test_decompose_homogeneity_limit_is_checked_before_the_basis_change(tmp_path
     code, out, err = run(capsys, "decompose", path, "--basis", "zzbar")
     assert (code, out) == (2, "")
     assert err == f"error: homogeneity must be at most {MAX_DECOMPOSE_HOMOGENEITY}\n"
+
+
+def test_apply_degree_limit_is_checked_before_the_basis_change(tmp_path, capsys):
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 100000, 0, QPoly([1])))
+    code, out, err = run(capsys, "apply", "x", path, "--basis", "zzbar")
+    assert (code, out) == (2, "")
+    assert err == f"error: position degree must be at most {MAX_APPLY_DEGREE}\n"
+    path = write_spinor(tmp_path, Spinor.monomial(XY, MAX_APPLY_DEGREE, 0, QPoly([1])))
+    code, out, _ = run(capsys, "apply", "y", path)
+    assert code == 0 and out.strip() == f"exp(-q^2/2) * ((1)*x^{MAX_APPLY_DEGREE}*y)"
+
+
+def test_apply_compose_pairs_limit(tmp_path, capsys):
+    # each step of a wide power, and each product, is checked before it composes
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([1])))
+    wide = "(x+y+q+dx+dy+dq)"
+    too_many = f"error: product needs more than {MAX_COMPOSE_PAIRS} term pairs"
+    code, out, err = run(capsys, "apply", f"{wide}^64", path)
+    assert (code, out) == (2, "")
+    assert err == f"{too_many} (at position 16)\n"
+    code, out, err = run(capsys, "apply", f"{wide}^6*{wide}^6", path)  # 610 * 610 pairs
+    assert (code, out) == (2, "")
+    assert err == f"{too_many} (at position 18)\n"
+    code, out, err = run(capsys, "apply", f"{wide}^3*{wide}^3", path)  # 62 * 62 pairs
+    assert (code, err) == (0, "")
 
 
 # ---- plumbing ----

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symtwistor import kernels as kernels_mod
 from symtwistor.exactnum import G, MINUS_I
 from symtwistor.kernels import (
     HoweComponent,
@@ -26,6 +27,7 @@ from symtwistor.kernels import (
     rank,
     ratio_at_leading,
     reassemble,
+    recursion_span,
     scalar_action,
     spinor_columns,
     solve_recursion,
@@ -123,6 +125,69 @@ def test_second_order_free_structure():
             assert residual.min_q_degree() >= 8
         else:
             assert residual.is_zero()
+
+
+def _expected_free_slots(kind, m, qmax):
+    """The slots no relation fixes above the seed row, in fill order."""
+    if kind in (RecursionKind.DS_ODD, RecursionKind.TS_EVEN):
+        return []
+    if kind in (RecursionKind.DS_EVEN, RecursionKind.TS_ODD):
+        return [(r, 0) for r in range(1, m + 1)]
+    row1 = [(1, k) for k in range(0, qmax + 1, 2)] if m >= 1 else []
+    return row1 + [(r, 0) for r in range(2, m + 1)]
+
+
+@pytest.mark.parametrize("kind", list(RecursionKind))
+def test_free_parameters_follow_the_slot_rule(kind):
+    for m in range(6):
+        for qmax in (2 * m + 2, 2 * m + 4):
+            fam = solve_recursion(kind, m, QPoly([1]), qmax)
+            want = tuple(f"a[r={r},k={k}]" for r, k in _expected_free_slots(kind, m, qmax))
+            assert fam.free_parameters == want, (kind, m, qmax)
+
+
+def _span_the_old_way(kind, m, qmax):
+    """Zero seed plus every unit seed through solve_recursion, then the exact combinations."""
+    op = operator_for_kind(kind)
+    elements = list(solve_recursion(kind, m, QPoly(), qmax).basis)
+    for j in range(0, qmax + 1, 2):
+        family = solve_recursion(kind, m, QPoly.monomial(j), qmax)
+        if family.basis:
+            elements.append(family.basis[0])
+    cols, n = spinor_columns([op.apply(el) for el in elements])
+    return [linear_combination(vec, elements) for vec in nullspace(cols, n)]
+
+
+@pytest.mark.parametrize("kind", list(RecursionKind))
+def test_recursion_span_matches_unit_seed_construction(kind):
+    op = operator_for_kind(kind)
+    for m in range(4):
+        qmax = 2 * m + 4
+        span = recursion_span(kind, m, qmax)
+        old = _span_the_old_way(kind, m, qmax)
+        assert all(op.apply(s).is_zero() for s in span)
+        cols, n = spinor_columns(span + old)
+        assert rank(cols[: len(span)], n) == rank(cols[len(span):], n) == rank(cols, n), m
+        assert rank(cols[: len(span)], n) == len(span)
+
+
+@pytest.mark.parametrize("kind", list(RecursionKind))
+def test_recursion_span_fills_once_per_input(kind, monkeypatch):
+    calls = []
+    genuine = kernels_mod._fill
+
+    def counting(*args):
+        calls.append(args)
+        return genuine(*args)
+
+    monkeypatch.setattr(kernels_mod, "_fill", counting)
+    m, qmax = 3, 10
+    recursion_span(kind, m, qmax)
+    seed_row = qmax // 2 + 1
+    assert len(calls) == seed_row + len(_expected_free_slots(kind, m, qmax))
+    assert sorted(slot for *_, inputs in calls for slot in inputs) == sorted(
+        [(0, k) for k in range(0, qmax + 1, 2)] + _expected_free_slots(kind, m, qmax)
+    )
 
 
 def test_family_json_shape():
