@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 _RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "GaussianRational"]
@@ -165,26 +165,23 @@ class GaussianRational:
             raise ValueError("GaussianRational denominator must be nonzero")
         return GaussianRational(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
 
-    def __str__(self) -> str:
+    def _render(self, style: _Style) -> str:
         re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return _imag_str(im)
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{_imag_str(abs(im)).lstrip('+')}"
+        if not im:
+            return style.number(re)
+        unit = "i" if abs(im) == 1 else f"{style.number(abs(im))}{style.unit}i"
+        if not re:
+            return unit if im > 0 else f"-{unit}"
+        return f"{style.number(re)}{style.gap}{'+' if im > 0 else '-'}{style.gap}{unit}"
+
+    def __str__(self) -> str:
+        return self._render(_TEXT)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def to_latex(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return _frac_latex(re)
-        if re == 0:
-            return _imag_latex(im)
-        sign = "+" if im > 0 else "-"
-        return f"{_frac_latex(re)} {sign} {_imag_latex(abs(im))}"
+        return self._render(_LATEX)
 
 
 # Slot setters that bypass the immutability guard; only the constructors use them.
@@ -209,14 +206,6 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return value
 
 
-def _imag_str(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}i"
-
-
 def _frac_latex(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -224,12 +213,50 @@ def _frac_latex(value: Fraction) -> str:
     return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _imag_latex(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{_frac_latex(im)} i"
+# ---- rendering: every output format is one row of this table ----
+
+class _Style(NamedTuple):
+    """How one output format writes numbers, products, brackets and the weight."""
+
+    number: Callable[[Fraction], str]  # a rational
+    unit: str  # between a rational and i
+    gap: str  # on both sides of the sign before an imaginary part
+    times: str  # between factors
+    power: str  # name^e, formatted with (name, e)
+    left: str  # brackets
+    right: str
+    weight: str  # e^{-q^2/2} before a spinor
+
+
+_TEXT = _Style(str, "", "", "*", "{}^{}", "(", ")", "exp(-q^2/2) * ")  # 2i
+_EXPR = _TEXT._replace(unit="*")  # 2*i, so operator text reparses
+_LATEX = _Style(_frac_latex, " ", " ", " ", "{}^{{{}}}", "\\left(", "\\right)", "e^{-q^2/2}")
+
+
+def _write_product(style: _Style, names, exponents) -> str:
+    """The factors name^e with e > 0; a power 1 is written as the bare name."""
+    return style.times.join(
+        name if e == 1 else style.power.format(name, e) for name, e in zip(names, exponents) if e
+    )
+
+
+def _write_sum(style: _Style, terms, sparing: bool = False) -> str:
+    """(coefficient, body) terms joined by " + ", or "0" when there are none.
+
+    A coefficient is anything with _render(style). A coefficient 1 before a
+    body is left out. Every other coefficient is bracketed; with sparing, only
+    a scalar with a sign or two parts that stands before a body is.
+    """
+    out = []
+    for coeff, body in terms:
+        if body and coeff == 1:
+            out.append(body)
+            continue
+        text = coeff._render(style)
+        if not sparing or body and (coeff._a < 0 or coeff._b < 0 or coeff._a and coeff._b):
+            text = f"{style.left}{text}{style.right}"
+        out.append(f"{text}{style.times}{body}" if body else text)
+    return " + ".join(out) or "0"
 
 
 ZERO = GaussianRational(0)

@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import GaussianRational, G, MINUS_I
+from .exactnum import GaussianRational, G
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor
-from .operators import named_operator
+from .operators import _BUILDERS, named_operator
 
 
 class NonHomogeneousError(ValueError):
@@ -317,14 +317,32 @@ class HoweComponent:
     monogenic: Spinor
 
 
-def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:
-    """Scalar c with D_s X_s^j m = c X_s^(j-1) m for monogenic m.
+# (basis, ds, xs, euler builders) -> c; keyed on the builders, as operators._BUILT is,
+# so a rebound registry entry is followed without clearing anything
+_LADDER_SCALE: Dict[tuple, GaussianRational] = {}
 
-    lambda = homogeneity + 1 is the (E+1)-eigenvalue; the brute-force
-    confirmed constant is -i * j * (lambda + (j-1)/2).
+
+def _ladder_scale(basis: BasisTag = BasisTag.XY) -> GaussianRational:
+    """The scalar c with [D_s, X_s] = c (E+1), from the registry operators."""
+    key = (basis, *(_BUILDERS[name] for name in ("ds", "xs", "euler")))
+    c = _LADDER_SCALE.get(key)
+    if c is None:
+        bracket = named_operator("ds", basis).commutator(named_operator("xs", basis))
+        c = bracket.terms.get((0,) * 6, G(0))
+        if bracket != (named_operator("euler", basis) + 1).scale(c):
+            raise ArithmeticError(f"[D_s, X_s] = {bracket} is not a multiple of E+1")
+        _LADDER_SCALE[key] = c
+    return c
+
+
+def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:
+    """Scalar with D_s X_s^j m = ladder_constant * X_s^(j-1) m for monogenic m.
+
+    With [D_s, X_s] = c (E+1) and lambda = homogeneity + 1 the (E+1)-eigenvalue
+    of m, it is c * j * (lambda + (j-1)/2).
     """
     lam = Fraction(monogenic_homogeneity + 1)
-    return MINUS_I * (Fraction(j) * (lam + Fraction(j - 1, 2)))
+    return _ladder_scale() * (Fraction(j) * (lam + Fraction(j - 1, 2)))
 
 
 def raising_chain(s: Spinor, n: int) -> List[Spinor]:

@@ -1,58 +1,42 @@
 """Builders for the distinguished operators and the name registry.
 
-Everything is constructed in the xy basis exactly as normal-ordered
-combinations of generators (ds_squared natively in zzbar, where its
-closed form lives); the registry hands out any of them in either basis
-via change_basis.
+Each operator is parsed from its defining expression in the xy basis;
+casimir and ds_squared are composed from those (ds_squared natively in
+zzbar, where its closed form lives). The registry hands out any of them
+in either basis via change_basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactnum import GaussianRational
+from .parsing import _Parser  # not parse_operator, whose traced calls count user input
 from .weyl import BasisTag, WeylOperator
-
-_I = GaussianRational(0, 1)
-_HALF = GaussianRational(Fraction(1, 2))
-
-
-def _gen(name: str) -> WeylOperator:
-    return WeylOperator.generator(BasisTag.XY, name)
 
 
 def build_xs() -> WeylOperator:
-    """Raising operator y*dq + i*x*q."""
-    return _gen("y") * _gen("dq") + (_gen("x") * _gen("q")).scale(_I)
+    """Raising operator X_s."""
+    return _Parser("y*dq + i*x*q").parse()
 
 
 def build_ds() -> WeylOperator:
-    """Symplectic Dirac operator i*q*dy - dx*dq."""
-    return (_gen("q") * _gen("dy")).scale(_I) - _gen("dx") * _gen("dq")
+    """Symplectic Dirac operator D_s."""
+    return _Parser("i*q*dy - dx*dq").parse()
 
 
 def build_euler() -> WeylOperator:
-    """Degree operator x*dx + y*dy in the two positions."""
-    return _gen("x") * _gen("dx") + _gen("y") * _gen("dy")
+    """Degree operator E in the two positions."""
+    return _Parser("x*dx + y*dy").parse()
 
 
 def build_ts_reduced() -> WeylOperator:
-    """First twistor component dx - q*dq*dx + i*q^2*dy."""
-    return (
-        _gen("dx")
-        - _gen("q") * _gen("dq") * _gen("dx")
-        + (_gen("q") ** 2 * _gen("dy")).scale(_I)
-    )
+    """First twistor component."""
+    return _Parser("dx - q*dq*dx + i*q^2*dy").parse()
 
 
 def build_ts_component2() -> WeylOperator:
-    """Second twistor component 2*dy + i*dq^2*dx + q*dq*dy."""
-    return (
-        _gen("dy").scale(2)
-        + (_gen("dq") ** 2 * _gen("dx")).scale(_I)
-        + _gen("q") * _gen("dq") * _gen("dy")
-    )
+    """Second twistor component."""
+    return _Parser("2*dy + i*dq^2*dx + q*dq*dy").parse()
 
 
 @dataclass(frozen=True)
@@ -66,23 +50,18 @@ def build_ts_full() -> TwistorPair:
 
 
 def build_rho_x() -> WeylOperator:
-    """-y*dx - (i/2)*q^2."""
-    return -(_gen("y") * _gen("dx")) - (_gen("q") ** 2).scale(_I * _HALF)
+    """rhoX of the mp(2) action; '/' joins integer literals only, hence 1/2*i."""
+    return _Parser("-y*dx - 1/2*i*q^2").parse()
 
 
 def build_rho_y() -> WeylOperator:
-    """-x*dy - (i/2)*dq^2."""
-    return -(_gen("x") * _gen("dy")) - (_gen("dq") ** 2).scale(_I * _HALF)
+    """rhoY of the mp(2) action."""
+    return _Parser("-x*dy - 1/2*i*dq^2").parse()
 
 
 def build_rho_h() -> WeylOperator:
-    """-x*dx + y*dy + q*dq + 1/2."""
-    return (
-        -(_gen("x") * _gen("dx"))
-        + _gen("y") * _gen("dy")
-        + _gen("q") * _gen("dq")
-        + WeylOperator.scalar(BasisTag.XY, _HALF)
-    )
+    """rhoH of the mp(2) action."""
+    return _Parser("-x*dx + y*dy + q*dq + 1/2").parse()
 
 
 def build_casimir() -> WeylOperator:

@@ -13,7 +13,8 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from .exactnum import ZERO, GaussianRational, ScalarLike
+from .exactnum import _LATEX, _TEXT, ZERO, GaussianRational, ScalarLike, _Style
+from .exactnum import _write_product, _write_sum
 from .exactnum import _make as _scalar  # unchecked (a + b*i)/d; QPoly reads the triple
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
 from .weyl import WeylOperator, generator_images
@@ -138,36 +139,21 @@ class QPoly:
     def __hash__(self) -> int:
         return hash((self._re, self._im, self._d))
 
+    def _render(self, style: _Style) -> str:
+        terms = (
+            (_scalar(a, b, self._d), _write_product(style, ("q",), (k,)))
+            for k, (a, b) in enumerate(zip(self._re, self._im)) if a or b
+        )
+        return _write_sum(style, terms, sparing=True)
+
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                qpow = "q" if k == 1 else f"q^{k}"
-                parts.append(qpow if c == 1 else f"{_coeff_text(c)}*{qpow}")
-        return " + ".join(parts)
+        return self._render(_TEXT)
 
     def __repr__(self) -> str:
         return f"QPoly({self})"
 
     def to_latex(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            if k == 0:
-                parts.append(c.to_latex())
-            else:
-                qpow = "q" if k == 1 else f"q^{{{k}}}"
-                parts.append(qpow if c == 1 else f"{_coeff_latex(c)} {qpow}")
-        return " + ".join(parts)
+        return self._render(_LATEX)
 
     def to_json(self) -> list:
         return [c.to_list() for c in self.coeffs]
@@ -227,20 +213,6 @@ def _dq(v: tuple) -> tuple:
     """Numerators of p' - q*p: entry k is (k+1)*v[k+1] - v[k-1], k = 0 .. len(v)."""
     weights = range(1, len(v) + 2)
     return tuple([k * x - y for k, x, y in zip(weights, v[1:] + (0, 0), (0,) + v)])
-
-
-def _coeff_text(c: GaussianRational) -> str:
-    needs_parens = (c.re != 0 and c.im != 0) or c.re < 0 or (c.re == 0 and c.im < 0)
-    return f"({c})" if needs_parens else str(c)
-
-
-def _coeff_latex(c: GaussianRational) -> str:
-    s = c.to_latex()
-    if c.im != 0 and c.re != 0:
-        return f"\\left({s}\\right)"
-    if c.re < 0 or (c.re == 0 and c.im < 0):
-        return f"\\left({s}\\right)"
-    return s
 
 
 class Spinor:
@@ -405,39 +377,18 @@ class Spinor:
 
     # ---- rendering (the weight reappears only here) ----
 
-    def _position_text(self, e1: int, e2: int) -> str:
-        names = GENERATOR_NAMES[self.basis]
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, (e1, e2)) if e)
+    def _render(self, style: _Style) -> str:
+        if not self.terms:
+            return "0"
+        names = (GENERATOR_LATEX if style is _LATEX else GENERATOR_NAMES)[self.basis]
+        terms = ((p, _write_product(style, names, key)) for key, p in sorted(self.terms.items()))
+        return f"{style.weight}{style.left}{_write_sum(style, terms)}{style.right}"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (e1, e2) in sorted(self.terms):
-            poly = self.terms[(e1, e2)]
-            pos = self._position_text(e1, e2)
-            if not pos:
-                parts.append(f"({poly})")
-            else:
-                parts.append(f"({poly})*{pos}")
-        return "exp(-q^2/2) * (" + " + ".join(parts) + ")"
+        return self._render(_TEXT)
 
     def __repr__(self) -> str:
         return f"<Spinor {self.basis.value}: {self}>"
 
     def to_latex(self) -> str:
-        if self.is_zero():
-            return "0"
-        names = GENERATOR_LATEX[self.basis]
-        parts = []
-        for (e1, e2) in sorted(self.terms):
-            poly = self.terms[(e1, e2)]
-            pos = " ".join(
-                n if e == 1 else f"{n}^{{{e}}}" for n, e in zip(names, (e1, e2)) if e
-            )
-            body = poly.to_latex()
-            if pos:
-                parts.append(f"\\left({body}\\right) {pos}")
-            else:
-                parts.append(f"\\left({body}\\right)")
-        return "e^{-q^2/2}\\left(" + " + ".join(parts) + "\\right)"
+        return self._render(_LATEX)

@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping, Tuple
 
-from .exactnum import GaussianRational, ScalarLike
+from .exactnum import _EXPR, _LATEX, GaussianRational, ScalarLike, _Style
+from .exactnum import _write_product, _write_sum
 
 Monomial = Tuple[int, int, int, int, int, int]  # (p1, p2, q, d1, d2, dq)
 
@@ -61,24 +62,6 @@ GENERATOR_LATEX = {
         "\\partial_q",
     ),
 }
-
-
-def _imag_expr(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
-
-
-def _coeff_expr(c: GaussianRational) -> str:
-    """Coefficient text with explicit '*', unlike str(), which writes '2i'."""
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        return _imag_expr(c.im)
-    sign = "+" if c.im > 0 else "-"
-    return f"{c.re}{sign}{_imag_expr(abs(c.im))}"
 
 
 def _clean_terms(terms: Mapping[Monomial, GaussianRational]) -> dict:
@@ -285,43 +268,20 @@ class WeylOperator:
     def sorted_terms(self) -> Iterable[Tuple[Monomial, GaussianRational]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
+    def _render(self, style: _Style) -> str:
+        names = (GENERATOR_LATEX if style is _LATEX else GENERATOR_NAMES)[self.basis]
+        terms = ((c, _write_product(style, names, m)) for m, c in self.sorted_terms())
+        return _write_sum(style, terms)
+
     def __str__(self) -> str:
-        # stays within the expression grammar, so str(op) reparses to op
-        if self.is_zero():
-            return "0"
-        names = GENERATOR_NAMES[self.basis]
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = [f"{names[k]}^{e}" if e > 1 else names[k] for k, e in enumerate(mono) if e]
-            body = "*".join(factors)
-            if not body:
-                parts.append(f"({_coeff_expr(coeff)})")
-            elif coeff == 1:
-                parts.append(body)
-            else:
-                parts.append(f"({_coeff_expr(coeff)})*{body}")
-        return " + ".join(parts)
+        # 2*i, not 2i: stays within the expression grammar, so str(op) reparses to op
+        return self._render(_EXPR)
 
     def __repr__(self) -> str:
         return f"<WeylOperator {self.basis.value}: {self}>"
 
     def to_latex(self) -> str:
-        if self.is_zero():
-            return "0"
-        names = GENERATOR_LATEX[self.basis]
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = [
-                f"{names[k]}^{{{e}}}" if e > 1 else names[k] for k, e in enumerate(mono) if e
-            ]
-            body = " ".join(factors)
-            if not body:
-                parts.append(f"\\left({coeff.to_latex()}\\right)")
-            elif coeff == 1:
-                parts.append(body)
-            else:
-                parts.append(f"\\left({coeff.to_latex()}\\right) {body}")
-        return " + ".join(parts)
+        return self._render(_LATEX)
 
 
 def generator_images(source: BasisTag, target: BasisTag) -> list:

@@ -34,9 +34,11 @@ from symtwistor.kernels import (
     twistor_kernel_basis,
     verify_exclusion,
 )
-from symtwistor.operators import named_operator
+from symtwistor import operators
+from symtwistor.operators import build_ds, named_operator
+from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, ODD, QPoly, Spinor
-from symtwistor.weyl import BasisTag
+from symtwistor.weyl import BasisTag, WeylOperator
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
 
@@ -257,6 +259,32 @@ def test_ladder_constant_values():
     assert ladder_constant(0, 1) == MINUS_I
     assert ladder_constant(2, 3) == G(0, -12)
     assert ladder_constant(1, 2) == G(0, -5)  # -i * 2 * (2 + 1/2)
+
+
+def test_ladder_scale_is_the_bracket_scalar_in_both_bases():
+    # [D_s, X_s] = -i (E+1): the derived scalar, not the E+1 that sl2.ds-xs states
+    assert kernels_mod._ladder_scale(XY) == kernels_mod._ladder_scale(ZZ) == MINUS_I
+
+
+def test_ladder_constant_follows_a_rebound_ds(monkeypatch):
+    monkeypatch.setitem(operators._BUILDERS, "ds", lambda: build_ds().scale(3))
+    assert ladder_constant(1, 2) == G(0, -15)
+    monkeypatch.setitem(operators._BUILDERS, "ds", lambda: parse_operator("dx"))
+    with pytest.raises(ArithmeticError, match=r"not a multiple of E\+1"):
+        ladder_constant(1, 2)
+    monkeypatch.undo()
+    assert ladder_constant(1, 2) == G(0, -5)
+
+
+def test_ladder_scale_is_composed_once(monkeypatch):
+    ladder_constant(0, 1)
+
+    def no_commutator(self, other):
+        raise AssertionError("the ladder scale was composed again")
+
+    monkeypatch.setattr(WeylOperator, "commutator", no_commutator)
+    s = raising_chain(monogenic_minus(1), 2)[2]
+    assert reassemble(howe_decompose(s), named_operator("xs", ZZ)) == s
 
 
 def test_ladder_identity_brute_force():

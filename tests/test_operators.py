@@ -20,7 +20,7 @@ from symtwistor.operators import (
 )
 from symtwistor.parsing import parse_operator
 from symtwistor.spinor import QPoly, Spinor
-from symtwistor.weyl import BasisTag
+from symtwistor.weyl import BasisTag, WeylOperator
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
 
@@ -60,6 +60,27 @@ def test_builders_match_their_defining_expressions():
     assert build_rho_x() == parse_operator("-y*dx - 1/2*i*q^2")
     assert build_rho_y() == parse_operator("-x*dy - 1/2*i*dq^2")
     assert build_rho_h() == parse_operator("-x*dx + y*dy + q*dq + 1/2")
+
+
+def test_parsed_builders_equal_their_generator_compositions():
+    def g(name):
+        return WeylOperator.generator(XY, name)
+
+    half_i = G(0, Fraction(1, 2))
+    assert build_xs() == g("y") * g("dq") + (g("x") * g("q")).scale(I)
+    assert build_ds() == (g("q") * g("dy")).scale(I) - g("dx") * g("dq")
+    assert build_euler() == g("x") * g("dx") + g("y") * g("dy")
+    assert build_ts_reduced() == (
+        g("dx") - g("q") * g("dq") * g("dx") + (g("q") ** 2 * g("dy")).scale(I)
+    )
+    assert build_ts_component2() == (
+        g("dy").scale(2) + (g("dq") ** 2 * g("dx")).scale(I) + g("q") * g("dq") * g("dy")
+    )
+    assert build_rho_x() == -(g("y") * g("dx")) - (g("q") ** 2).scale(half_i)
+    assert build_rho_y() == -(g("x") * g("dy")) - (g("dq") ** 2).scale(half_i)
+    assert build_rho_h() == (
+        -(g("x") * g("dx")) + g("y") * g("dy") + g("q") * g("dq") + Fraction(1, 2)
+    )
 
 
 def test_twistor_pair_components():

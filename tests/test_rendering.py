@@ -179,7 +179,8 @@ def test_fixed_renderings():
                             r" + \frac{2}{3} i q^{4}")
     s = Spinor(ZZ, {(0, 0): QPoly([1]), (2, 1): QPoly([0, G(0, 2)])})
     assert str(s) == "exp(-q^2/2) * ((1) + (2i*q)*z^2*zbar)"
-    assert s.to_latex() == r"e^{-q^2/2}\left(\left(1\right) + \left(2 i q\right) z^{2} \bar{z}\right)"
+    assert s.to_latex() == (r"e^{-q^2/2}\left(\left(1\right) + \left(2 i q\right) z^{2} \bar{z}"
+                            r"\right)")
     op = WeylOperator(XY, {(0, 0, 0, 0, 0, 0): G(1), (1, 0, 2, 0, 0, 1): G(-1, Fraction(-1, 2))})
     assert str(op) == "(1) + (-1-1/2*i)*x*q^2*dq"
     assert op.to_latex() == r"\left(1\right) + \left(-1 - \frac{1}{2} i\right) x q^{2} \partial_q"
