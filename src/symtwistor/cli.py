@@ -30,6 +30,7 @@ from .kernels import (
 from .verify import VerificationReport, run_suite, suite_names
 
 # Work limits on command-line input; a larger value exits 2 before any work.
+MAX_SPINOR_QDEGREE = 512  # the q-degree of an `apply` or `decompose` input
 MAX_TABLE_ORDER = 100  # the n of `tables`
 MAX_GENERATE_DEGREE = 100  # the m of `generate`
 MAX_GENERATE_QMAX = 256  # the --qmax of `generate`
@@ -73,8 +74,9 @@ def _load_spinor(path: str) -> Spinor:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    data = json.loads(raw)
-    return Spinor.from_json(data)
+    spinor = Spinor.from_json(json.loads(raw))
+    _require_at_most("q-degree", spinor.q_degree() or 0, MAX_SPINOR_QDEGREE)
+    return spinor
 
 
 def _render_spinors(spinors: List[Spinor], fmt: str) -> str:
@@ -291,6 +293,13 @@ def _cmd_tables(args) -> Tuple[int, str]:
 # ---- argument wiring ----
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"usage: {self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -314,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="coordinate basis for input interpretation and output",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="symtwistor",
         description="Exact verification and generation tool for the symplectic "
         "Dirac/twistor system in two position variables and one ordinary "

@@ -134,32 +134,39 @@ def _inputs(kind: RecursionKind, m: int, qmax: int) -> List[Tuple[int, int]]:
             if _relation(kind, m, r, k)[0] == 0]
 
 
+_ONE = QPoly([1])
+
+
 def _fill(kind: RecursionKind, m: int, qmax: int, inputs) -> Spinor:
     """The spinor of the table a[r][k], filled bottom-up.
 
     An input slot takes its value from inputs (zero when absent); every
-    other slot solves its relation.
+    other slot solves its relation. Only the nonzero slots are stored.
     """
-    zero = G(0)
-    a = [[zero] * (qmax + 1) for _ in range(m + 1)]
-    for r, row in enumerate(a):
+    a: Dict[Tuple[int, int], GaussianRational] = {}
+    for r in range(m + 1):
         for k in range(0, qmax + 1, 2):
             lead, terms = _relation(kind, m, r, k)
-            rhs = zero
+            rhs = None
             for dr, dk, w in terms:
-                v = a[r - dr][k - dk]
-                if v:
-                    rhs = rhs + v * w
+                v = a.get((r - dr, k - dk))
+                if v is not None:
+                    rhs = v * w if rhs is None else rhs + v * w
             if lead:
-                row[k] = rhs / lead
+                value = rhs / lead if rhs else None
             elif rhs:
                 raise ArithmeticError(
                     f"inconsistent relation at r={r}, k={k} for {kind.value}"
                 )
             else:
-                row[k] = inputs.get((r, k), zero)
+                value = inputs.get((r, k))
+            if value:
+                a[r, k] = value
     shift = 1 if kind.parity == ODD else 0
-    return Spinor(BasisTag.ZZBAR, {(r, m - r): QPoly(a[r]).shift(shift) for r in range(m + 1)})
+    rows: Dict[Tuple[int, int], list] = {}
+    for (r, k), v in a.items():
+        rows.setdefault((r, m - r), []).append((v, k + shift, _ONE))
+    return Spinor(BasisTag.ZZBAR, {key: QPoly.combination(ps) for key, ps in rows.items()})
 
 
 def _classify_residual(residual: Spinor, qmax: int) -> bool:
@@ -447,36 +454,48 @@ def kernel_linear_solve(
 def _eliminate(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     """Reduced row echelon form: (rows, {pivot column: its row}).
 
-    Pivots are taken column by column, each from the first row at or below
-    the current pivot row with a nonzero entry. The pivot row is normalised
-    and subtracted from every other row only on its own support.
+    Rows are dicts {column: value} of their nonzero entries. Columns are
+    taken in order; the pivot is the sparsest unused row nonzero in the
+    column, the lowest index on a tie (Markowitz). The reduced row echelon
+    form is unique, so this choice changes no pivot column and no row. The
+    pivot row is normalised and subtracted from the other rows of its column.
     """
-    ncols = len(columns)
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
+    rows: List[Dict[int, GaussianRational]] = [{} for _ in range(nrows)]
+    rows_of_col: List[set] = []
+    for j, column in enumerate(columns):
+        nonzero = {i for i, v in enumerate(column) if v}
+        for i in nonzero:
+            rows[i][j] = column[i]
+        rows_of_col.append(nonzero)
     pivot_of_col: Dict[int, int] = {}
-    pivot_row = 0
-    for col in range(ncols):
-        found = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
-        if found is None:
+    used = set()
+    for col, holders in enumerate(rows_of_col):
+        candidates = holders - used
+        if not candidates:
             continue
-        rows[pivot_row], rows[found] = rows[found], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        pivot = rows[pivot_row] = [v * inv if v else v for v in rows[pivot_row]]
-        support = [j for j, v in enumerate(pivot) if v]
-        for r, row in enumerate(rows):
+        p = min(candidates, key=lambda r: (len(rows[r]), r))
+        inv = rows[p][col].inverse()
+        pivot = rows[p] = {j: v * inv for j, v in rows[p].items()}
+        for r in holders - {p}:
+            row = rows[r]
             factor = row[col]
-            if r != pivot_row and factor:
-                for j in support:
-                    row[j] = row[j] - factor * pivot[j]
-        pivot_of_col[col] = pivot_row
-        pivot_row += 1
+            for j, v in pivot.items():
+                new = row[j] - factor * v if j in row else -(factor * v)
+                if new:
+                    row[j] = new
+                    rows_of_col[j].add(r)
+                else:
+                    del row[j]
+                    rows_of_col[j].discard(r)
+        used.add(p)
+        pivot_of_col[col] = p
     return rows, pivot_of_col
 
 
 def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     """Basis of {c : sum_i c_i columns[i] = 0}, exact over Q(i).
 
-    Columns are the matrix columns; returns one vector per non-pivot
+    Columns are the matrix columns; returns one dense vector per non-pivot
     column, in ascending column order.
     """
     ncols = len(columns)
@@ -487,7 +506,8 @@ def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
         vec = [G(0)] * ncols
         vec[fc] = G(1)
         for pc, pr in pivot_of_col.items():
-            vec[pc] = -rows[pr][fc]
+            if fc in rows[pr]:
+                vec[pc] = -rows[pr][fc]
         vectors.append(vec)
     return vectors
 
@@ -526,12 +546,17 @@ def spinor_columns(
 def linear_combination(
     coeffs: Sequence[GaussianRational], spinors: Sequence[Spinor]
 ) -> Spinor:
-    """sum_i coeffs[i] * spinors[i]; the spinors share one basis and are not empty."""
-    out = Spinor.zero(spinors[0].basis)
+    """sum_i coeffs[i] * spinors[i]; the spinors share one basis and are not empty.
+
+    Each output polynomial is built once, over one denominator.
+    """
+    parts: Dict[Tuple[int, int], list] = {}
     for c, s in zip(coeffs, spinors):
         if not c.is_zero():
-            out = out + s.scale(c)
-    return out
+            spinors[0]._require_same_basis(s)
+            for key, poly in s.terms.items():
+                parts.setdefault(key, []).append((c, 0, poly))
+    return Spinor(spinors[0].basis, {key: QPoly.combination(ps) for key, ps in parts.items()})
 
 
 # ---- scalar action ----

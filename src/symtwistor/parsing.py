@@ -12,8 +12,9 @@ deep, which keeps the recursive descent inside Python's recursion limit;
 deeper input is an OperatorSyntaxError at the first token past the limit.
 An exponent above MAX_EXPONENT is an OperatorSyntaxError at the exponent.
 A product, and each step of a power, is an OperatorSyntaxError at its "*"
-or "^" when its operands' term counts multiply to more than
-MAX_COMPOSE_PAIRS; the check comes before the composition.
+or "^" when it would reach a total degree above MAX_OPERATOR_DEGREE or
+produce more than MAX_COMPOSE_TERMS terms before like terms merge; both
+are predicted before the composition.
 
 Identifiers: the generator names of weyl.GENERATOR_NAMES (x y q dx dy dq
 in the xy basis, z zbar q dz dzbar dq in the zzbar basis) and i (the
@@ -52,7 +53,8 @@ class UnknownSymbolError(OperatorSyntaxError):
 
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 64
-MAX_COMPOSE_PAIRS = 100_000  # term pairs of one composition, checked before it
+MAX_OPERATOR_DEGREE = 128  # total degree of a product's monomials
+MAX_COMPOSE_TERMS = 20_000  # terms of one composition before like terms merge
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
@@ -226,10 +228,15 @@ class _Parser:
 
 
 def _compose(a: WeylOperator, b: WeylOperator, tok: _Token) -> WeylOperator:
-    """a.compose(b), refused before any work when it exceeds MAX_COMPOSE_PAIRS."""
-    if len(a.terms) * len(b.terms) > MAX_COMPOSE_PAIRS:
+    """a.compose(b), refused before any work when it exceeds a limit."""
+    degree = max(map(sum, a.terms), default=0) + max(map(sum, b.terms), default=0)
+    if degree > MAX_OPERATOR_DEGREE:
         raise OperatorSyntaxError(
-            f"product needs more than {MAX_COMPOSE_PAIRS} term pairs", tok.position
+            f"product reaches degree {degree}, above {MAX_OPERATOR_DEGREE}", tok.position
+        )
+    if a._compose_terms(b, MAX_COMPOSE_TERMS) > MAX_COMPOSE_TERMS:
+        raise OperatorSyntaxError(
+            f"product needs more than {MAX_COMPOSE_TERMS} terms", tok.position
         )
     return a.compose(b)
 

@@ -584,8 +584,13 @@ def _spans_equal(a: List[Spinor], b: List[Spinor]) -> bool:
     8,
 )
 def _oracle_recursion_vs_linear() -> Optional[str]:
-    for kind in ker.RecursionKind:
-        for m in range(5):
+    return _recursion_vs_linear(ker.RecursionKind, range(5))
+
+
+def _recursion_vs_linear(kinds, ms) -> Optional[str]:
+    """The first (kind, m) whose recursion and linear-kernel spans differ, or None."""
+    for kind in kinds:
+        for m in ms:
             qmax = 2 * m + 4
             qdeg = qmax + (1 if kind.parity == ODD else 0)
             linear = ker.kernel_linear_solve(

@@ -181,6 +181,21 @@ class WeylOperator:
                             terms[mono] = add if acc is None else acc + add
         return WeylOperator(self.basis, terms)
 
+    def _compose_terms(self, other: "WeylOperator", stop: int) -> int:
+        """Terms compose(other) makes before like terms merge, counted up to past stop.
+
+        These are the loop bounds of compose: per term pair, the product over
+        x, y, q of min(derivative power in self, position power in other) + 1.
+        """
+        made = 0
+        for m1 in self.terms:
+            d1, e1, f1 = m1[3:]
+            for m2 in other.terms:
+                made += (min(d1, m2[0]) + 1) * (min(e1, m2[1]) + 1) * (min(f1, m2[2]) + 1)
+            if made > stop:
+                break
+        return made
+
     def __pow__(self, exponent: int) -> "WeylOperator":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("operator power needs a nonnegative integer exponent")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -7,12 +8,13 @@ from symtwistor.cli import (
     MAX_DECOMPOSE_HOMOGENEITY,
     MAX_GENERATE_DEGREE,
     MAX_GENERATE_QMAX,
+    MAX_SPINOR_QDEGREE,
     MAX_TABLE_ORDER,
     main,
 )
 from symtwistor.exactnum import GaussianRational as G
 from symtwistor.kernels import monogenic_minus
-from symtwistor.parsing import MAX_COMPOSE_PAIRS, MAX_EXPONENT
+from symtwistor.parsing import MAX_COMPOSE_TERMS, MAX_EXPONENT, MAX_OPERATOR_DEGREE
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisTag
 
@@ -530,15 +532,59 @@ def test_apply_compose_pairs_limit(tmp_path, capsys):
     # each step of a wide power, and each product, is checked before it composes
     path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([1])))
     wide = "(x+y+q+dx+dy+dq)"
-    too_many = f"error: product needs more than {MAX_COMPOSE_PAIRS} term pairs"
+    too_many = f"error: product needs more than {MAX_COMPOSE_TERMS} terms"
     code, out, err = run(capsys, "apply", f"{wide}^64", path)
     assert (code, out) == (2, "")
     assert err == f"{too_many} (at position 16)\n"
-    code, out, err = run(capsys, "apply", f"{wide}^6*{wide}^6", path)  # 610 * 610 pairs
+    code, out, err = run(capsys, "apply", f"{wide}^6*{wide}^6", path)  # 845,796 terms
     assert (code, out) == (2, "")
     assert err == f"{too_many} (at position 18)\n"
-    code, out, err = run(capsys, "apply", f"{wide}^3*{wide}^3", path)  # 62 * 62 pairs
+    code, out, err = run(capsys, "apply", f"{wide}^3*{wide}^3", path)  # 5,522 terms
     assert (code, err) == (0, "")
+
+
+def test_apply_composition_blow_up_is_refused_before_it_is_built(tmp_path, capsys):
+    # (dx^4096)^2 * (x^4096)^2 is one term pair that normal-orders into 8,193 huge terms
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([1])))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "apply", "--", "((dx^64)^64)^2*((x^64)^64)^2", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: product reaches degree 192, above {MAX_OPERATOR_DEGREE} (at position 8)\n"
+    # at the degree limit a product still composes: dx^64 x^64 has 65 terms
+    code, out, err = run(capsys, "apply", "--", "dx^64*x^64", path)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "apply", "--", "dx^64*x^64*x", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: product reaches degree 129, above {MAX_OPERATOR_DEGREE} (at position 10)\n"
+
+
+@pytest.mark.parametrize("qdeg", [MAX_SPINOR_QDEGREE, MAX_SPINOR_QDEGREE + 1])
+@pytest.mark.parametrize("command", [["apply", "dq"], ["decompose"]])
+def test_spinor_q_degree_limit_is_checked_when_the_file_is_loaded(tmp_path, capsys, qdeg, command):
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 1, 0, QPoly.monomial(qdeg)))
+    code, out, err = run(capsys, *command, path)
+    if qdeg <= MAX_SPINOR_QDEGREE:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: q-degree must be at most {MAX_SPINOR_QDEGREE}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["apply", "-x", "FILE"], "symtwistor apply: error: the following arguments are required: spinor_file"),
+        (["tables", "S", "100"], "symtwistor tables: error: argument which: invalid choice: 'S' "
+                                 "(choose from 'A', 'stirling', 'stirling-tilde')"),
+    ],
+)
+def test_usage_errors_are_one_stderr_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert captured.err == f"usage: {message}\n"
 
 
 # ---- plumbing ----

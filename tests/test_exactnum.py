@@ -62,6 +62,8 @@ def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
         G(1) / ZERO
     with pytest.raises(ZeroDivisionError):
+        G(1) / 0
+    with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
 
 
@@ -271,6 +273,8 @@ def test_division_and_powers_match_the_model(x, y, n):
         assert agrees(gx**n, m_pow(x, n))
     if y[1] == 0:
         assert agrees(gx / y[0], m_mul(x, m_inverse(y)))
+    if n:  # plain int divisors, positive and negative
+        assert agrees(gx / n, m_mul(x, (Fraction(1, n), Fraction(0))))
 
 
 @given(pairs)

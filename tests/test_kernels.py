@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -34,7 +36,7 @@ from symtwistor.kernels import (
     twistor_kernel_basis,
     verify_exclusion,
 )
-from symtwistor import operators
+from symtwistor import operators, verify
 from symtwistor.operators import build_ds, named_operator
 from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, ODD, QPoly, Spinor
@@ -416,6 +418,94 @@ def test_kernel_linear_solve_members_are_killed():
         assert ts_z.apply(element).is_zero()
         assert element.homogeneity() == 1
         assert (element.q_degree() or 0) <= 5
+
+
+# sha256 of json.dumps([kernel_linear_solve(ts, m, 2m+7).to_json() for m <= 12],
+# sort_keys=True) in zzbar, recorded with the dense elimination the sparse one replaced
+TS_LINEAR_DIGEST = "7574ba840e81fcdf34f79710dd9f68826b5395cf2dc01d87fff87ad0c8fe0380"
+
+
+def test_ts_linear_kernels_match_the_recorded_digest():
+    ts_z = named_operator("ts", ZZ)
+    families = [kernel_linear_solve(ts_z, m, 2 * m + 7).to_json() for m in range(13)]
+    text = json.dumps(families, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TS_LINEAR_DIGEST
+
+
+@pytest.mark.parametrize("kind", list(RecursionKind))
+def test_recursion_span_equals_the_linear_kernel_for_m_5_to_8(kind):
+    assert verify._recursion_vs_linear([kind], range(5, 9)) is None
+
+
+def _dense_rref(columns, nrows):
+    """Textbook Gauss-Jordan: (pivot columns, reduced pivot rows) on dense rows.
+
+    Each pivot comes from the first row at or below the pivot row with a
+    nonzero entry, and the whole pivot row is subtracted from every other.
+    """
+    rows = [[column[i] for column in columns] for i in range(nrows)]
+    pivots = []
+    for col in range(len(columns)):
+        top = len(pivots)
+        found = next((i for i in range(top, nrows) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[top], rows[found] = rows[found], rows[top]
+        inv = rows[top][col].inverse()
+        rows[top] = [v * inv for v in rows[top]]
+        for i in range(nrows):
+            if i != top and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return pivots, rows[: len(pivots)]
+
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_sparse_entries = st.builds(
+    lambda keep, re, im: G(re, im) if keep == 0 else G(0),
+    st.integers(0, 3), _rationals, _rationals,
+)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """(columns, nrows): mostly zero entries, zero columns, and dependent columns."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
+    columns = []
+    for j in range(ncols):
+        shape = draw(st.sampled_from(["random", "zero", "combination"]))
+        if shape == "zero" or (shape == "combination" and j < 2):
+            columns.append([G(0)] * nrows)
+        elif shape == "random":
+            columns.append(draw(st.lists(_sparse_entries, min_size=nrows, max_size=nrows)))
+        else:
+            a, b = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+            c = G(draw(_rationals), draw(_rationals))
+            columns.append([x + y * c for x, y in zip(columns[a], columns[b])])
+    return columns, nrows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
+    columns, nrows = matrix
+    ncols = len(columns)
+    pivots, reduced = _dense_rref(columns, nrows)
+    rows, pivot_of_col = kernels_mod._eliminate(columns, nrows)
+    assert sorted(pivot_of_col) == pivots
+    dense = [[rows[pivot_of_col[c]].get(j, G(0)) for j in range(ncols)] for c in pivots]
+    assert dense == reduced
+    assert all(not row for r, row in enumerate(rows) if r not in pivot_of_col.values())
+    expected = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [G(0)] * ncols
+        vec[fc] = G(1)
+        for pc, row in zip(pivots, reduced):
+            vec[pc] = -row[fc]
+        expected.append(vec)
+    assert nullspace(columns, nrows) == expected
+    assert rank(columns, nrows) == len(pivots)
 
 
 def test_kernel_linear_solve_parity_filter():
