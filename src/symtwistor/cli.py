@@ -74,7 +74,10 @@ def _load_spinor(path: str) -> Spinor:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    spinor = Spinor.from_json(json.loads(raw))
+    try:
+        spinor = Spinor.from_json(json.loads(raw))
+    except RecursionError:  # decoding, and repr in an error message, recurse per level
+        raise ValueError("spinor JSON is nested too deeply") from None
     _require_at_most("q-degree", spinor.q_degree() or 0, MAX_SPINOR_QDEGREE)
     return spinor
 

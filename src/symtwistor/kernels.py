@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactnum import GaussianRational, G
+from .exactnum import ZERO, GaussianRational, G, _sub_mul
 from .weyl import BasisTag, WeylOperator
-from .spinor import EVEN, ODD, QPoly, Spinor
+from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
 from .operators import _BUILDERS, named_operator
 
 
@@ -134,39 +135,42 @@ def _inputs(kind: RecursionKind, m: int, qmax: int) -> List[Tuple[int, int]]:
             if _relation(kind, m, r, k)[0] == 0]
 
 
-_ONE = QPoly([1])
-
-
 def _fill(kind: RecursionKind, m: int, qmax: int, inputs) -> Spinor:
     """The spinor of the table a[r][k], filled bottom-up.
 
     An input slot takes its value from inputs (zero when absent); every
-    other slot solves its relation. Only the nonzero slots are stored.
+    other slot solves its relation. Only the nonzero slots are stored, as
+    reduced (re, im, d) for (re + im*i)/d; a right-hand side is summed in
+    ints and divided by lead with one gcd.
     """
-    a: Dict[Tuple[int, int], GaussianRational] = {}
+    a: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
     for r in range(m + 1):
         for k in range(0, qmax + 1, 2):
             lead, terms = _relation(kind, m, r, k)
-            rhs = None
+            re, im, d = 0, 0, 1
             for dr, dk, w in terms:
                 v = a.get((r - dr, k - dk))
-                if v is not None:
-                    rhs = v * w if rhs is None else rhs + v * w
+                if v is not None:  # most are absent: only nonzero slots are stored
+                    x, y, e = v
+                    re, im, d = re * e + x * w * d, im * e + y * w * d, d * e
             if lead:
-                value = rhs / lead if rhs else None
-            elif rhs:
+                if re or im:
+                    d *= lead
+                    g = gcd(re, im, d) if d > 0 else -gcd(re, im, d)
+                    a[r, k] = (re // g, im // g, d // g)
+            elif re or im:
                 raise ArithmeticError(
                     f"inconsistent relation at r={r}, k={k} for {kind.value}"
                 )
             else:
                 value = inputs.get((r, k))
-            if value:
-                a[r, k] = value
+                if value:
+                    a[r, k] = (value._a, value._b, value._d)
     shift = 1 if kind.parity == ODD else 0
-    rows: Dict[Tuple[int, int], list] = {}
-    for (r, k), v in a.items():
-        rows.setdefault((r, m - r), []).append((v, k + shift, _ONE))
-    return Spinor(BasisTag.ZZBAR, {key: QPoly.combination(ps) for key, ps in rows.items()})
+    rows: Dict[Tuple[int, int], list] = {}  # key -> [(q-power, re, im, d)], powers ascending
+    for (r, k), (re, im, d) in a.items():
+        rows.setdefault((r, m - r), []).append((k + shift, re, im, d))
+    return Spinor(BasisTag.ZZBAR, {key: _from_terms(row) for key, row in rows.items()})
 
 
 def _classify_residual(residual: Spinor, qmax: int) -> bool:
@@ -198,7 +202,7 @@ def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> Kern
     row for the second-order kinds.
     """
     _check_window(m, qmax)
-    if any(k % 2 == 1 and not c.is_zero() for k, c in enumerate(seed.coeffs)):
+    if seed.parity() != EVEN:
         raise ParityMismatchError("seed must be supported on even powers of q")
     if seed.degree() is not None and seed.degree() > qmax:
         raise ValueError("seed degree exceeds qmax")
@@ -480,7 +484,7 @@ def _eliminate(columns: Sequence[Sequence[GaussianRational]], nrows: int):
             row = rows[r]
             factor = row[col]
             for j, v in pivot.items():
-                new = row[j] - factor * v if j in row else -(factor * v)
+                new = _sub_mul(row.get(j, ZERO), factor, v)
                 if new:
                     row[j] = new
                     rows_of_col[j].add(r)
@@ -529,8 +533,7 @@ def spinor_columns(
         [
             (rows.setdefault((key, k), len(rows)), c)
             for key, poly in s.terms.items()
-            for k, c in enumerate(poly.coeffs)
-            if not c.is_zero()
+            for k, c in poly.nonzero_terms()
         ]
         for s in spinors
     ]
@@ -570,7 +573,7 @@ def ratio_at_leading(a: Spinor, b: Spinor) -> Optional[GaussianRational]:
     if b.is_zero():
         return None
     key = min(b.terms)
-    k, c = next((k, c) for k, c in enumerate(b.terms[key].coeffs) if not c.is_zero())
+    k, c = next(b.terms[key].nonzero_terms())
     return a.terms.get(key, QPoly()).coefficient(k) / c
 
 

@@ -10,8 +10,8 @@ model, only in renderings. Bases mirror weyl.BasisTag: (x, y) or
 from __future__ import annotations
 
 from itertools import zip_longest
-from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from math import gcd, lcm, perm
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exactnum import _LATEX, _TEXT, ZERO, GaussianRational, ScalarLike, _Style
 from .exactnum import _write_product, _write_sum
@@ -40,9 +40,8 @@ class QPoly:
     __slots__ = ("_re", "_im", "_d")
 
     def __init__(self, coeffs: Sequence[ScalarLike] = ()):
-        cs = [GaussianRational.coerce(c) for c in coeffs]
-        d = lcm(*(c._d for c in cs))
-        poly = _canonical([c._a * (d // c._d) for c in cs], [c._b * (d // c._d) for c in cs], d)
+        cs = map(GaussianRational.coerce, coeffs)
+        poly = _from_terms([(k, c._a, c._b, c._d) for k, c in enumerate(cs)])
         _set_re(self, poly._re)
         _set_im(self, poly._im)
         _set_d(self, poly._d)
@@ -73,6 +72,11 @@ class QPoly:
     def coeffs(self) -> Tuple[GaussianRational, ...]:
         d = self._d
         return tuple(_scalar(a, b, d) for a, b in zip(self._re, self._im))
+
+    def nonzero_terms(self) -> Iterator[Tuple[int, GaussianRational]]:
+        """(k, coefficient of q^k) for each nonzero coefficient, k ascending."""
+        d = self._d
+        return ((k, _scalar(a, b, d)) for k, (a, b) in enumerate(zip(self._re, self._im)) if a or b)
 
     def is_zero(self) -> bool:
         return not self._re
@@ -140,10 +144,7 @@ class QPoly:
         return hash((self._re, self._im, self._d))
 
     def _render(self, style: _Style) -> str:
-        terms = (
-            (_scalar(a, b, self._d), _write_product(style, ("q",), (k,)))
-            for k, (a, b) in enumerate(zip(self._re, self._im)) if a or b
-        )
+        terms = ((c, _write_product(style, ("q",), (k,))) for k, c in self.nonzero_terms())
         return _write_sum(style, terms, sparing=True)
 
     def __str__(self) -> str:
@@ -200,6 +201,16 @@ def _canonical(re: list, im: list, d: int) -> QPoly:
     return _raw(tuple(re), tuple(im), d)
 
 
+def _from_terms(terms: Sequence[Tuple[int, int, int, int]]) -> QPoly:
+    """QPoly with coefficient (a + b*i)/d of q^k for each (k, a, b, d); k ascending, d > 0."""
+    d = lcm(*(t[3] for t in terms))
+    size = terms[-1][0] + 1 if terms else 0
+    re, im = [0] * size, [0] * size
+    for k, a, b, e in terms:
+        re[k], im[k] = a * (d // e), b * (d // e)
+    return _canonical(re, im, d)
+
+
 def _sum(p: QPoly, r: QPoly, sign: int) -> QPoly:
     """p + sign*r over the lcm of the two denominators."""
     d = lcm(p._d, r._d)
@@ -213,6 +224,51 @@ def _dq(v: tuple) -> tuple:
     """Numerators of p' - q*p: entry k is (k+1)*v[k+1] - v[k-1], k = 0 .. len(v)."""
     weights = range(1, len(v) + 2)
     return tuple([k * x - y for k, x, y in zip(weights, v[1:] + (0, 0), (0,) + v)])
+
+
+def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
+    """op applied to spinor (same basis) on numerators, one reduction per output polynomial.
+
+    Coefficients and polynomials are each brought over the lcm of their denominators.
+    Output keys are entered in operator-term-outer, spinor-key-inner order.
+    """
+    den = lcm(*(p._d for p in spinor.terms.values()))
+    chains = {}  # key -> [(re, im, nonzero (k, re[k], im[k])) of Dq^f p over den, f = 0, 1, ...]
+    for key, p in spinor.terms.items():
+        re, im = p._re, p._im
+        if p._d != den:
+            f = den // p._d
+            re, im = tuple(x * f for x in re), tuple(y * f for y in im)
+        chains[key] = [(re, im, _nonzero(re, im))]
+    op_den = lcm(*(c._d for c in op.terms.values()))
+    # Dq^f p has len(p) + f coefficients, shifted by q^qc
+    longest = max((len(p._re) for p in spinor.terms.values()), default=0)
+    size = longest + max((m[2] + m[5] for m in op.terms), default=0)
+    out: dict = {}  # output key -> (re, im) lists over op_den * den
+    for (a, b, qc, d, e, f), c in op.terms.items():
+        for (m1, m2), chain in chains.items():
+            if d > m1 or e > m2:
+                continue
+            while len(chain) <= f:
+                re, im = _dq(chain[-1][0]), _dq(chain[-1][1])
+                chain.append((re, im, _nonzero(re, im)))
+            key = (m1 - d + a, m2 - e + b)
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = ([0] * size, [0] * size)
+            re, im = acc
+            w = op_den // c._d * perm(m1, d) * perm(m2, e)
+            ca, cb = c._a * w, c._b * w
+            for k, x, y in chain[f][2]:
+                re[k + qc] += x * ca - y * cb
+                im[k + qc] += x * cb + y * ca
+    d = op_den * den
+    return Spinor(spinor.basis, {key: _canonical(re, im, d) for key, (re, im) in out.items()})
+
+
+def _nonzero(re: tuple, im: tuple) -> list:
+    """The (k, re[k], im[k]) with a nonzero part."""
+    return [(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]
 
 
 class Spinor:
@@ -301,10 +357,7 @@ class Spinor:
     def min_q_degree(self) -> Optional[int]:
         if self.is_zero():
             return None
-        degs = []
-        for p in self.terms.values():
-            degs.append(min(k for k, c in enumerate(p.coeffs) if not c.is_zero()))
-        return min(degs)
+        return min(next(p.nonzero_terms())[0] for p in self.terms.values())
 
     def coefficient_of(self, e1: int, e2: int, qexp: int) -> GaussianRational:
         """Exact coefficient of x^e1 y^e2 q^qexp; the spinor must be in the xy basis."""

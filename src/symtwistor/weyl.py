@@ -244,28 +244,14 @@ class WeylOperator:
 
     def apply(self, spinor):
         """Act on a weight-stripped Spinor (Dq acts as d/dq - q)."""
-        from .spinor import QPoly, Spinor
+        from .spinor import _act
 
         if self.basis is not spinor.basis:
             raise BasisMismatchError(
                 f"operator basis {self.basis.value} does not match spinor basis "
                 f"{spinor.basis.value}"
             )
-        parts: dict = {}  # output key -> [(scalar, q shift, Dq^f p)], summed once per key
-        dq_chains = {key: [poly] for key, poly in spinor.terms.items()}  # [p, Dq p, Dq^2 p, ...]
-        for (a, b, qc, d, e, f), coeff in self.terms.items():
-            for (m1, m2), chain in dq_chains.items():
-                if d > m1 or e > m2:
-                    continue
-                fall = 1
-                for t in range(d):
-                    fall *= m1 - t
-                for t in range(e):
-                    fall *= m2 - t
-                while len(chain) <= f:
-                    chain.append(chain[-1].weighted_dq())
-                parts.setdefault((m1 - d + a, m2 - e + b), []).append((coeff * fall, qc, chain[f]))
-        return Spinor(spinor.basis, {key: QPoly.combination(ps) for key, ps in parts.items()})
+        return _act(self, spinor)
 
     # ---- structure / rendering ----
 

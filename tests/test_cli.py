@@ -373,6 +373,21 @@ def test_apply_deeply_nested_expression_exits_2(tmp_path, capsys):
     assert err.startswith("error: nesting deeper than") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["apply", "x"], ["decompose"]])
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 1000 + "]" * 1000, '{"basis": "xy", "terms": [{"e1": 0, "e2": 0, "q": %s}]}'
+     % ("[" * 1000 + "]" * 1000)],
+)
+def test_deeply_nested_spinor_json_is_one_line_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: spinor JSON is nested too deeply\n"
+
+
 def test_apply_converts_operator_to_spinor_basis(tmp_path, capsys):
     path = write_spinor(tmp_path, Spinor.monomial(ZZ, 1, 0, QPoly([1])))
     # the xy Euler operator measures homogeneity in either basis

@@ -194,6 +194,60 @@ def test_recursion_span_fills_once_per_input(kind, monkeypatch):
     )
 
 
+def _reference_fill(kind, m, qmax, inputs):
+    """The table filled slot by slot in GaussianRational arithmetic, as the fill rule reads."""
+    a = {}
+    for r in range(m + 1):
+        for k in range(0, qmax + 1, 2):
+            lead, terms = kernels_mod._relation(kind, m, r, k)
+            rhs = G(0)
+            for dr, dk, w in terms:
+                rhs = rhs + a.get((r - dr, k - dk), G(0)) * w
+            if lead:
+                a[r, k] = rhs / lead
+            else:
+                assert rhs.is_zero()
+                a[r, k] = inputs.get((r, k), G(0))
+    shift = 1 if kind.parity == ODD else 0
+    rows = {}
+    for (r, k), v in a.items():
+        row = rows.setdefault((r, m - r), [G(0)] * (qmax + 1 + shift))
+        row[k + shift] = v
+    return Spinor(ZZ, {key: QPoly(row) for key, row in rows.items()})
+
+
+def _random_gaussian(rng):
+    """Zero one time in four, else (a + b*i) with parts n/d, |n| <= 9 and 1 <= d <= 9."""
+    if rng.randrange(4) == 0:
+        return G(0)
+    part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))  # noqa: E731
+    return G(part(), part())
+
+
+@pytest.mark.parametrize("kind", list(RecursionKind))
+@settings(max_examples=10, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_fill_matches_the_gaussian_rational_reference(kind, rng):
+    for m in range(7):
+        for qmax in (2 * m + 2, 2 * m + 6):
+            inputs = {slot: _random_gaussian(rng) for slot in kernels_mod._inputs(kind, m, qmax)}
+            got = kernels_mod._fill(kind, m, qmax, inputs)
+            want = _reference_fill(kind, m, qmax, inputs)
+            assert got == want and list(got.terms) == list(want.terms), (m, qmax)
+
+
+def test_fill_rejects_a_relation_that_fixes_an_input_slot(monkeypatch):
+    genuine = kernels_mod._relation
+
+    def relation(kind, m, r, k):  # the input slot (1, 0) now has a right-hand side
+        return (0, ((1, 0, 1),)) if (r, k) == (1, 0) else genuine(kind, m, r, k)
+
+    monkeypatch.setattr(kernels_mod, "_relation", relation)
+    kernels_mod._fill(RecursionKind.DS_EVEN, 2, 6, {(1, 0): G(1)})  # zero seed: rhs is 0
+    with pytest.raises(ArithmeticError, match="inconsistent relation at r=1, k=0 for ds/even"):
+        kernels_mod._fill(RecursionKind.DS_EVEN, 2, 6, {(0, 0): G(1, 2)})
+
+
 def test_family_json_shape():
     fam = solve_recursion(RecursionKind.DS_ODD, 0, QPoly([1]), 2)
     data = fam.to_json()

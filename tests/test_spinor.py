@@ -349,7 +349,8 @@ def test_apply_matches_term_by_term_reference(data):
     basis = data.draw(st.sampled_from([XY, ZZ]))
     op = parse_operator(data.draw(operator_strings(basis)), basis)  # q, dq, i alone parse as xy
     s = data.draw(spinors(basis))
-    got = op.apply(s)
-    assert got == reference_apply(op, s)
+    got, want = op.apply(s), reference_apply(op, s)
+    assert got == want
+    assert list(got.terms) == list(want.terms)  # keys in order of first contribution
     for poly in got.terms.values():
         assert_canonical(poly)
