@@ -200,24 +200,6 @@ def _cmd_decompose(args) -> Tuple[int, str]:
 # ---- tables ----
 
 
-def _a_rows(n: int) -> List[Tuple[int, List[int]]]:
-    table = comb_mod.a_table(n)
-    return [
-        (j, [table[(j, k)] for k in range(n - 2 * j + 1)])
-        for j in range(n // 2 + 1)
-    ]
-
-
-def _tilde_entries(n: int) -> List[Tuple[int, int, int]]:
-    table = comb_mod.stirling_tilde(n)
-    return [(i, r, table[(i, r)]) for (i, r) in sorted(table)]
-
-
-def _grid_text(rows: List[List[str]]) -> str:
-    width = max((len(cell) for row in rows for cell in row), default=1)
-    return "\n".join(" ".join(cell.rjust(width) for cell in row) for row in rows)
-
-
 def _grid_latex(rows: List[List[str]], ncols: int) -> str:
     lines = [r"\begin{array}{" + "r" * ncols + "}"]
     for row in rows:
@@ -232,65 +214,39 @@ def _cmd_tables(args) -> Tuple[int, str]:
         raise ValueError("n must be nonnegative")
     _require_at_most("n", args.n, MAX_TABLE_ORDER)
     n = args.n
+    # each table gives its flat sequence, its JSON body, its text and its LaTeX
     if args.which == "A":
-        rows = _a_rows(n)
-        flat = [v for _, entries in rows for v in entries]
-    elif args.which == "stirling":
-        entries = [comb_mod.stirling(n, m) for m in range(1, n + 1)]
-        flat = list(entries)
-    else:
-        triples = _tilde_entries(n)
-        flat = [v for _, _, v in triples]
-
-    if args.flat:
-        if args.format == "json":
-            return 0, _dump_json({"which": args.which, "n": n, "flat": flat})
-        if args.format == "latex":
-            return 0, "$" + ", ".join(str(v) for v in flat) + "$"
-        return 0, ",".join(str(v) for v in flat)
-
-    if args.which == "A":
-        if args.format == "json":
-            payload = {
-                "which": "A",
-                "n": n,
-                "rows": [{"j": j, "entries": entries} for j, entries in rows],
-            }
-            return 0, _dump_json(payload)
-        cells = [[str(v) for v in entries] for _, entries in rows]
-        if args.format == "latex":
-            return 0, _grid_latex(cells, n + 1)
-        body = _grid_text(cells).splitlines()
-        return 0, "\n".join(
-            f"j={j}: {line}" for (j, _), line in zip(rows, body)
+        table = comb_mod.a_table(n)
+        rows = [[table[(j, k)] for k in range(n - 2 * j + 1)] for j in range(n // 2 + 1)]
+        flat = [v for row in rows for v in row]
+        body = {"rows": [{"j": j, "entries": row} for j, row in enumerate(rows)]}
+        cells = [[str(v) for v in row] for row in rows]
+        width = max(len(cell) for row in cells for cell in row)
+        text = "\n".join(
+            f"j={j}: " + " ".join(cell.rjust(width) for cell in row) for j, row in enumerate(cells)
         )
-    if args.which == "stirling":
-        if args.format == "json":
-            return 0, _dump_json({"which": "stirling", "n": n, "entries": entries})
-        if args.format == "latex":
-            return 0, _grid_latex([[str(v) for v in entries]], max(len(entries), 1))
-        shown = " ".join(str(v) for v in entries)
-        return 0, f"s({n}, m) for m = 1..{n}: {shown}"
-    triples = _tilde_entries(n)
-    if args.format == "json":
-        payload = {
-            "which": "stirling-tilde",
-            "n": n,
-            "entries": [{"i": i, "r": r, "value": v} for i, r, v in triples],
-        }
-        return 0, _dump_json(payload)
-    if args.format == "latex":
+        latex = _grid_latex(cells, n + 1)
+    elif args.which == "stirling":
+        flat = [comb_mod.stirling(n, m) for m in range(1, n + 1)]
+        body = {"entries": flat}
+        text = f"s({n}, m) for m = 1..{n}: " + " ".join(str(v) for v in flat)
+        latex = _grid_latex([[str(v) for v in flat]], max(n, 1))
+    else:
         table = comb_mod.stirling_tilde(n)
-        max_r = max((r for _, r, _ in triples), default=0)
-        grid = []
-        for i in range(n + 1):
-            row = []
-            for r in range(max_r + 1):
-                val = table.get((i, r))
-                row.append("" if val is None else str(val))
-            grid.append(row)
-        return 0, _grid_latex(grid, max_r + 1)
-    return 0, "\n".join(f"i={i} r={r}: {v}" for i, r, v in triples)
+        keys = sorted(table)
+        flat = [table[key] for key in keys]
+        body = {"entries": [{"i": i, "r": r, "value": table[(i, r)]} for i, r in keys]}
+        text = "\n".join(f"i={i} r={r}: {table[(i, r)]}" for i, r in keys)
+        max_r = max(r for _, r in keys)
+        grid = [[str(table.get((i, r), "")) for r in range(max_r + 1)] for i in range(n + 1)]
+        latex = _grid_latex(grid, max_r + 1)
+    if args.flat:
+        body = {"flat": flat}
+        text = ",".join(str(v) for v in flat)
+        latex = "$" + ", ".join(str(v) for v in flat) + "$"
+    if args.format == "json":
+        return 0, _dump_json({"which": args.which, "n": n, **body})
+    return 0, latex if args.format == "latex" else text
 
 
 # ---- argument wiring ----

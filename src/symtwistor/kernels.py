@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import ZERO, GaussianRational, G, _sub_mul
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
-from .operators import _BUILDERS, named_operator
+from .operators import _BUILDERS, _get_or_build, named_operator
 
 
 class NonHomogeneousError(ValueError):
@@ -328,22 +328,21 @@ class HoweComponent:
     monogenic: Spinor
 
 
-# (basis, ds, xs, euler builders) -> c; keyed on the builders, as operators._BUILT is,
-# so a rebound registry entry is followed without clearing anything
-_LADDER_SCALE: Dict[tuple, GaussianRational] = {}
-
-
 def _ladder_scale(basis: BasisTag = BasisTag.XY) -> GaussianRational:
-    """The scalar c with [D_s, X_s] = c (E+1), from the registry operators."""
-    key = (basis, *(_BUILDERS[name] for name in ("ds", "xs", "euler")))
-    c = _LADDER_SCALE.get(key)
-    if c is None:
+    """The scalar c with [D_s, X_s] = c (E+1), from the registry operators.
+
+    Stored in the operator registry's cache under the basis and the ds, xs and
+    euler builders, so a rebound registry entry is followed.
+    """
+
+    def build() -> GaussianRational:
         bracket = named_operator("ds", basis).commutator(named_operator("xs", basis))
         c = bracket.terms.get((0,) * 6, G(0))
         if bracket != (named_operator("euler", basis) + 1).scale(c):
             raise ArithmeticError(f"[D_s, X_s] = {bracket} is not a multiple of E+1")
-        _LADDER_SCALE[key] = c
-    return c
+        return c
+
+    return _get_or_build((basis, *(_BUILDERS[name] for name in ("ds", "xs", "euler"))), build)
 
 
 def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:

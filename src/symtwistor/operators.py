@@ -95,9 +95,18 @@ _BUILDERS = {
 }
 
 
-# (builder, basis) -> operator. Keyed on the builder object, so an entry of
-# _BUILDERS that is rebound (a test double, a tracer) starts with no cached value.
+# Values derived from registry operators: (builder, basis) -> operator here, and
+# kernels' ladder scale. Keys hold the builder objects, so an entry of _BUILDERS
+# that is rebound (a test double, a tracer) starts with no cached value.
 _BUILT: dict = {}
+
+
+def _get_or_build(key, build):
+    """The value cached under key, made by build() on first use."""
+    value = _BUILT.get(key)
+    if value is None:
+        value = _BUILT[key] = build()
+    return value
 
 
 def operator_names() -> list[str]:
@@ -115,7 +124,4 @@ def named_operator(name: str, basis: BasisTag = BasisTag.XY) -> WeylOperator:
         raise KeyError(
             f"unknown operator {name!r}; known: {', '.join(operator_names())}"
         ) from None
-    op = _BUILT.get((builder, basis))
-    if op is None:
-        op = _BUILT[(builder, basis)] = builder().change_basis(basis)
-    return op
+    return _get_or_build((builder, basis), lambda: builder().change_basis(basis))

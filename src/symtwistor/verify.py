@@ -6,14 +6,22 @@ exception text. The CLI `verify` command and the acceptance test suite
 both run these; the `criterion` tag groups checks under the numbered
 acceptance criteria. Randomized sweeps use a fixed seed so output is
 reproducible byte for byte.
+
+A check is registered in one of three ways. `_cases` takes rows
+(label, got, want) and reports the first row with got != want as
+`<label>: got <value>`; all but three checks are rows, an operator
+identity as one `_residual` row. `@_check` keeps a prose witness for
+`sl2.ds-xs` and `twistor-basis.displays`, whose witnesses tests pin, and
+wraps `_recursion_vs_linear(kinds, ms)`, which tests call with their own
+ranges, for `oracle.recursion-vs-linear`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .exactnum import G, GaussianRational, I, MINUS_I
@@ -81,15 +89,7 @@ class VerificationReport:
             "suite": self.suite,
             "passed": self.passed,
             "failed": self.failed,
-            "checks": [
-                {
-                    "id": r.id,
-                    "anchor": r.anchor,
-                    "status": r.status,
-                    "witness": r.witness,
-                }
-                for r in self.results
-            ],
+            "checks": [asdict(r) for r in self.results],
         }
 
     def render_text(self) -> str:
@@ -140,25 +140,6 @@ def run_suite(name: str, checks: Optional[List[Check]] = None) -> VerificationRe
     return VerificationReport(name, tuple(results))
 
 
-def _identity(
-    id: str,
-    anchor: str,
-    criterion: Optional[int],
-    residual: Callable[[], WeylOperator],
-) -> None:
-    """Register an algebra check that passes when residual() is the zero operator.
-
-    Residuals name the builders of this module, looked up at call time, so
-    a replaced builder reaches every check that uses it.
-    """
-
-    def check() -> Optional[str]:
-        op = residual()
-        return None if op.is_zero() else f"nonzero remainder {op}"
-
-    _CHECKS.append(Check(id, anchor, "algebra", criterion, check))
-
-
 def _cases(
     id: str,
     anchor: str,
@@ -185,10 +166,24 @@ def _cases(
 # ======================================================================
 
 
-_identity("sl2.euler-ds", "[E+1, D_s] = -D_s", 1,
-          lambda: (build_euler() + 1).commutator(build_ds()) + build_ds())
-_identity("sl2.euler-xs", "[E+1, X_s] = X_s", 1,
-          lambda: (build_euler() + 1).commutator(build_xs()) - build_xs())
+def _residual(residual: Callable[[], WeylOperator]):
+    """One row: residual() against the zero operator of its own basis.
+
+    Residuals look this module's builders up at call time, so a replaced
+    builder reaches every check that uses it.
+    """
+
+    def rows():
+        op = residual()
+        yield "remainder", op, WeylOperator.zero(op.basis)
+
+    return rows
+
+
+_cases("sl2.euler-ds", "[E+1, D_s] = -D_s", "algebra", 1,
+       _residual(lambda: (build_euler() + 1).commutator(build_ds()) + build_ds()))
+_cases("sl2.euler-xs", "[E+1, X_s] = X_s", "algebra", 1,
+       _residual(lambda: (build_euler() + 1).commutator(build_xs()) - build_xs()))
 
 
 @_check("sl2.ds-xs", "[D_s, X_s] = E+1", "algebra", 1)
@@ -202,21 +197,21 @@ def _sl2_ds_xs() -> Optional[str]:
     return f"commutator is {actual}, not E+1"
 
 
-_identity("mp2.x-y", "[rhoX, rhoY] = rhoH", 1,
-          lambda: build_rho_x().commutator(build_rho_y()) - build_rho_h())
-_identity("mp2.h-x", "[rhoH, rhoX] = 2 rhoX", 1,
-          lambda: build_rho_h().commutator(build_rho_x()) - build_rho_x().scale(2))
-_identity("mp2.h-y", "[rhoH, rhoY] = -2 rhoY", 1,
-          lambda: build_rho_h().commutator(build_rho_y()) + build_rho_y().scale(2))
+_cases("mp2.x-y", "[rhoX, rhoY] = rhoH", "algebra", 1,
+       _residual(lambda: build_rho_x().commutator(build_rho_y()) - build_rho_h()))
+_cases("mp2.h-x", "[rhoH, rhoX] = 2 rhoX", "algebra", 1,
+       _residual(lambda: build_rho_h().commutator(build_rho_x()) - build_rho_x().scale(2)))
+_cases("mp2.h-y", "[rhoH, rhoY] = -2 rhoY", "algebra", 1,
+       _residual(lambda: build_rho_h().commutator(build_rho_y()) + build_rho_y().scale(2)))
 for _a in ("xs", "ds"):
     for _b in ("rhoX", "rhoY", "rhoH"):
-        _identity(f"cross.{_a}-{_b}", f"[{_a}, {_b}] = 0", 1,
-                  lambda a=_a, b=_b: named_operator(a).commutator(named_operator(b)))
-_identity("casimir.expansion",
-          "rhoH^2 + 1 + 2 rhoX rhoY + 2 rhoY rhoX equals its expanded xy display", 1,
-          lambda: build_casimir() - parse_operator(
-              "x^2*dx^2 + y^2*dy^2 + 2*x*dx + 4*y*dy + 2*x*y*dx*dy + 1/4"
-              " - 2*x*q*dx*dq + 2*y*q*dy*dq + 2*i*y*dx*dq^2 + 2*i*x*q^2*dy"))
+        _cases(f"cross.{_a}-{_b}", f"[{_a}, {_b}] = 0", "algebra", 1,
+               _residual(lambda a=_a, b=_b: named_operator(a).commutator(named_operator(b))))
+_cases("casimir.expansion",
+       "rhoH^2 + 1 + 2 rhoX rhoY + 2 rhoY rhoX equals its expanded xy display", "algebra", 1,
+       _residual(lambda: build_casimir() - parse_operator(
+           "x^2*dx^2 + y^2*dy^2 + 2*x*dx + 4*y*dy + 2*x*y*dx*dy + 1/4"
+           " - 2*x*q*dx*dq + 2*y*q*dy*dq + 2*i*y*dx*dq^2 + 2*i*x*q^2*dy")))
 
 
 def _casimir_central_rows():
@@ -229,43 +224,34 @@ _cases("casimir.central", "the Casimir commutes with xs, ds, rhoX, rhoY, rhoH", 
        _casimir_central_rows)
 
 
-@_check(
-    "casimir.scalar",
-    "the Casimir acts by one scalar on each raised Dirac-kernel component (l+j <= 4)",
-    "algebra",
-    None,
-)
-def _casimir_scalar() -> Optional[str]:
+def _casimir_scalar_rows():
     cas_z = named_operator("casimir", ZZ)
     for make, tag in ((ker.monogenic_plus, "plus"), (ker.monogenic_minus, "minus")):
         for l in range(4):
             chain = ker.raising_chain(make(l), 4 - l)
             c0 = ker.scalar_action(cas_z, chain[0])
-            if c0 is None:
-                return f"not scalar on {tag} monogenic l={l}"
+            yield f"{tag} l={l}, acts by a scalar", c0 is not None, True
             for j in range(1, 5 - l):
-                c = ker.scalar_action(cas_z, chain[j])
-                if c != c0:
-                    return (
-                        f"scalar drifts on component ({tag}, l={l}): {c0} vs {c} at j={j}"
-                    )
-    return None
+                yield f"{tag} l={l}, j={j}, scalar", ker.scalar_action(cas_z, chain[j]), c0
 
 
-_identity("zbasis.xs", "converted X_s equals its zzbar display (constant 1)", 2,
-          lambda: build_xs().change_basis(ZZ)
-          - parse_operator("(1/2)*i*((q - dq)*z + (q + dq)*zbar)"))
-_identity("zbasis.ds", "converted D_s equals its zzbar display (constant 1)", 2,
-          lambda: build_ds().change_basis(ZZ)
-          + parse_operator("(q + dq)*dz + (-q + dq)*dzbar"))
-_identity("zbasis.ts",
-          "converted first twistor component equals its zzbar display (constant 1)", 2,
-          lambda: build_ts_reduced().change_basis(ZZ)
-          - parse_operator("(1 - q*dq - q^2)*dz + (1 - q*dq + q^2)*dzbar"))
-_identity("zbasis.ds2", "D_s composed with itself equals the quadratic zzbar display", None,
-          lambda: build_ds_squared() - parse_operator(
-              "(q^2 + 2*q*dq + 1 + dq^2)*dz^2 + 2*(-q^2 + dq^2)*dz*dzbar"
-              " + (q^2 - 2*q*dq - 1 + dq^2)*dzbar^2"))
+_cases("casimir.scalar",
+       "the Casimir acts by one scalar on each raised Dirac-kernel component (l+j <= 4)",
+       "algebra", None, _casimir_scalar_rows)
+_cases("zbasis.xs", "converted X_s equals its zzbar display (constant 1)", "algebra", 2,
+       _residual(lambda: build_xs().change_basis(ZZ)
+                 - parse_operator("(1/2)*i*((q - dq)*z + (q + dq)*zbar)")))
+_cases("zbasis.ds", "converted D_s equals its zzbar display (constant 1)", "algebra", 2,
+       _residual(lambda: build_ds().change_basis(ZZ)
+                 + parse_operator("(q + dq)*dz + (-q + dq)*dzbar")))
+_cases("zbasis.ts",
+       "converted first twistor component equals its zzbar display (constant 1)", "algebra", 2,
+       _residual(lambda: build_ts_reduced().change_basis(ZZ)
+                 - parse_operator("(1 - q*dq - q^2)*dz + (1 - q*dq + q^2)*dzbar")))
+_cases("zbasis.ds2", "D_s composed with itself equals the quadratic zzbar display", "algebra",
+       None, _residual(lambda: build_ds_squared() - parse_operator(
+           "(q^2 + 2*q*dq + 1 + dq^2)*dz^2 + 2*(-q^2 + dq^2)*dz*dzbar"
+           " + (q^2 - 2*q*dq - 1 + dq^2)*dzbar^2")))
 
 
 def _weyl_roundtrip_rows():
@@ -354,13 +340,6 @@ _cases("minus-exclusion.values",
        lambda: ((f"m={m}", ker.verify_minus_exclusion(m), Fraction(2 * m, 3)) for m in range(7)))
 
 
-def _double_factorial_odd(m: int) -> int:
-    out = 1
-    for t in range(3, 2 * m + 2, 2):
-        out *= t
-    return out
-
-
 def _minus_family_rows():
     ds_z = named_operator("ds", ZZ)
     for m in range(9):
@@ -368,7 +347,7 @@ def _minus_family_rows():
         yield f"m={m}, D_s image", ds_z.apply(s), Spinor.zero(ZZ)
         yield f"m={m}, q-degree", s.q_degree(), 2 * m + 1
         yield (f"m={m}, top coefficient", s.terms[(m, 0)].coefficient(2 * m + 1),
-               Fraction(2**m, _double_factorial_odd(m)))
+               Fraction(2**m, prod(range(1, 2 * m + 2, 2))))
 
 
 _cases("monogenic-minus.family",
@@ -513,57 +492,44 @@ def _random_gaussian(rng: random.Random) -> GaussianRational:
     return G(_random_fraction(rng), _random_fraction(rng))
 
 
-@_check(
-    "random.ds-odd-to-twistor",
-    "50 random odd Dirac-relation solutions (m <= 5) land in the twistor kernel after raising",
-    "kernels",
-    7,
-)
-def _random_ds_odd_to_twistor() -> Optional[str]:
+def _random_ds_odd_rows():
     rng = random.Random(_RANDOM_SEED)
-    xs_z = named_operator("xs", ZZ)
-    ts_z = named_operator("ts", ZZ)
+    xs_z, ts_z = named_operator("xs", ZZ), named_operator("ts", ZZ)
     for trial in range(50):
         m = rng.randint(0, 5)
-        qmax = 2 * m + 6
         seed = QPoly([_random_fraction(rng) if k % 2 == 0 else 0 for k in range(7)])
-        family = ker.solve_recursion(ker.RecursionKind.DS_ODD, m, seed, qmax)
-        if family.free_parameters:
-            return f"trial {trial}: odd Dirac family reported free parameters"
-        if not family.basis:
-            continue  # zero seed drawn
-        element = family.basis[0]
-        if family.extends_beyond_truncation[0]:
-            return f"trial {trial}: element unexpectedly truncated"
-        if not ts_z.apply(xs_z.apply(element)).is_zero():
-            return f"trial {trial} (m={m}): raised element escapes the twistor kernel"
-    return None
+        family = ker.solve_recursion(ker.RecursionKind.DS_ODD, m, seed, 2 * m + 6)
+        yield f"trial {trial}, free parameters", family.free_parameters, ()
+        # a zero seed gives no element
+        for element, truncated in zip(family.basis[:1], family.extends_beyond_truncation):
+            yield f"trial {trial}, truncated", truncated, False
+            yield (f"trial {trial} (m={m}), raised element in the twistor kernel",
+                   ts_z.apply(xs_z.apply(element)).is_zero(), True)
 
 
-@_check(
-    "random.twistor-in-ds2",
-    "50 random twistor-kernel members (m <= 5) lie in the squared-Dirac kernel",
-    "kernels",
-    7,
-)
-def _random_twistor_in_ds2() -> Optional[str]:
+_cases("random.ds-odd-to-twistor",
+       "50 random odd Dirac-relation solutions (m <= 5) land in the twistor kernel after raising",
+       "kernels", 7, _random_ds_odd_rows)
+
+
+def _random_twistor_rows():
     rng = random.Random(_RANDOM_SEED + 1)
-    ts_z = named_operator("ts", ZZ)
-    ds2 = build_ds_squared()
-    bases: Dict[int, ker.KernelFamily] = {}
+    ts_z, ds2 = named_operator("ts", ZZ), build_ds_squared()
+    bases: Dict[int, Tuple[Spinor, ...]] = {}
     for trial in range(50):
         m = rng.randint(0, 5)
         if m not in bases:
-            bases[m] = ker.kernel_linear_solve(ts_z, m, 2 * m + 7)
-        basis = bases[m].basis
-        member = ker.linear_combination([_random_gaussian(rng) for _ in basis], basis)
-        if member.is_zero():
-            continue
-        if not ts_z.apply(member).is_zero():
-            return f"trial {trial} (m={m}): sampled member is not in the twistor kernel"
-        if not ds2.apply(member).is_zero():
-            return f"trial {trial} (m={m}): member escapes the squared-Dirac kernel"
-    return None
+            bases[m] = ker.kernel_linear_solve(ts_z, m, 2 * m + 7).basis
+        member = ker.linear_combination([_random_gaussian(rng) for _ in bases[m]], bases[m])
+        yield (f"trial {trial} (m={m}), member in the twistor kernel",
+               ts_z.apply(member).is_zero(), True)
+        yield (f"trial {trial} (m={m}), member in the squared-Dirac kernel",
+               ds2.apply(member).is_zero(), True)
+
+
+_cases("random.twistor-in-ds2",
+       "50 random twistor-kernel members (m <= 5) lie in the squared-Dirac kernel",
+       "kernels", 7, _random_twistor_rows)
 
 
 def _spans_equal(a: List[Spinor], b: List[Spinor]) -> bool:
@@ -611,35 +577,27 @@ def _random_homogeneous_spinor(rng: random.Random, l: int, basis: BasisTag) -> S
     return Spinor(basis, terms)
 
 
-@_check(
-    "howe.roundtrip",
-    "100 random homogeneous spinors (l <= 4, q-degree <= 5) peel into Dirac-kernel layers and reassemble",
-    "kernels",
-    10,
-)
-def _howe_roundtrip() -> Optional[str]:
+def _howe_roundtrip_rows():
     rng = random.Random(_RANDOM_SEED + 2)
     ops = {b: (named_operator("xs", b), named_operator("ds", b)) for b in (XY, ZZ)}
     for trial in range(100):
         l = rng.randint(0, 4)
         basis = XY if rng.random() < 0.5 else ZZ
         s = _random_homogeneous_spinor(rng, l, basis)
-        if s.is_zero():
-            continue
         comps = ker.howe_decompose(s)  # reconstruction is asserted inside
         xs, ds = ops[basis]
-        powers = set()
+        powers = [comp.power for comp in comps]
+        yield f"trial {trial}, duplicate layers", len(powers) - len(set(powers)), 0
         for comp in comps:
-            if comp.power in powers:
-                return f"trial {trial}: duplicate layer {comp.power}"
-            powers.add(comp.power)
-            if comp.homogeneity + comp.power != l:
-                return f"trial {trial}: layer degrees do not add up"
-            if not ds.apply(comp.monogenic).is_zero():
-                return f"trial {trial}: layer j={comp.power} is not in the Dirac kernel"
-        if ker.reassemble(comps, xs) != s:
-            return f"trial {trial}: reconstruction mismatch"
-    return None
+            yield f"trial {trial}, layer j={comp.power}, degree", comp.homogeneity + comp.power, l
+            yield (f"trial {trial}, layer j={comp.power} in the Dirac kernel",
+                   ds.apply(comp.monogenic).is_zero(), True)
+        yield f"trial {trial}, reassembles", ker.reassemble(comps, xs) == s, True
+
+
+_cases("howe.roundtrip",
+       "100 random homogeneous spinors (l <= 4, q-degree <= 5) peel into Dirac-kernel layers and reassemble",
+       "kernels", 10, _howe_roundtrip_rows)
 
 
 def _ladder_rows():
@@ -714,42 +672,29 @@ _cases("stirling.match",
        "combinatorics", 9, _stirling_rows)
 
 
-@_check(
-    "stirling-tilde.structure",
-    "marked expansion of (q+dq)^n: support, binomial r=0 slice, collapse at qt=1, 4-term recursion, n <= 12",
-    "combinatorics",
-    9,
-)
-def _stirling_tilde_structure() -> Optional[str]:
+def _stirling_tilde_rows():
+    qdq = WeylOperator.generator(XY, "q") + WeylOperator.generator(XY, "dq")
     for n in range(13):
         table = comb_mod.stirling_tilde(n)
-        support = {
-            (i, r) for i in range(n + 1) for r in range(min(i, n - i) + 1)
-        }
-        if not set(table) <= support:
-            return f"n={n}: entries outside the support"
+        support = sorted((i, r) for i in range(n + 1) for r in range(min(i, n - i) + 1))
+        yield f"n={n}, entries outside the support", set(table) - set(support), set()
         for i in range(n + 1):
-            if table.get((i, 0), 0) != comb(n, i):
-                return f"n={n}, i={i}: r=0 slice is not binomial"
-        collapsed = comb_mod.stirling_tilde_collapse(n)
-        qdq = WeylOperator.generator(XY, "q") + WeylOperator.generator(XY, "dq")
-        plain = qdq**n
-        want = {}
-        for (a, b, c, d, e, f), coeff in plain.terms.items():
-            want[(c, f)] = coeff.re.numerator
-        if collapsed != want:
-            return f"n={n}: collapse disagrees with the plain Weyl expansion"
-        if n >= 1:
+            yield f"n={n}, i={i}, r=0 slice", table.get((i, 0), 0), comb(n, i)
+        # the plain Weyl expansion, keyed (q exponent, dq exponent)
+        plain = {(m[2], m[5]): c.re.numerator for m, c in (qdq**n).terms.items()}
+        yield (f"n={n}, entries where the collapse at qt=1 and the plain Weyl expansion differ",
+               comb_mod.stirling_tilde_collapse(n).items() ^ plain.items(), set())
+        if n:
             prev = comb_mod.stirling_tilde(n - 1)
-            for (i, r) in support:
-                expect = (
-                    prev.get((i - 1, r), 0)
-                    + prev.get((i, r), 0)
-                    + (i - r + 1) * prev.get((i, r - 1), 0)
-                )
-                if table.get((i, r), 0) != expect:
-                    return f"n={n}, (i,r)=({i},{r}): recursion shape fails"
-    return None
+            for i, r in support:
+                yield (f"n={n}, (i,r)=({i},{r}), recursion", table.get((i, r), 0),
+                       prev.get((i - 1, r), 0) + prev.get((i, r), 0)
+                       + (i - r + 1) * prev.get((i, r - 1), 0))
+
+
+_cases("stirling-tilde.structure",
+       "marked expansion of (q+dq)^n: support, binomial r=0 slice, collapse at qt=1, 4-term recursion, n <= 12",
+       "combinatorics", 9, _stirling_tilde_rows)
 
 
 _STIRLING_TILDE_DISPLAYS = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from .exactnum import _EXPR, _LATEX, GaussianRational, ScalarLike, _Style
 from .exactnum import _write_product, _write_sum
@@ -266,12 +266,9 @@ class WeylOperator:
     def __hash__(self) -> int:
         return hash((self.basis, frozenset(self.terms.items())))
 
-    def sorted_terms(self) -> Iterable[Tuple[Monomial, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def _render(self, style: _Style) -> str:
         names = (GENERATOR_LATEX if style is _LATEX else GENERATOR_NAMES)[self.basis]
-        terms = ((c, _write_product(style, names, m)) for m, c in self.sorted_terms())
+        terms = ((c, _write_product(style, names, m)) for m, c in sorted(self.terms.items()))
         return _write_sum(style, terms)
 
     def __str__(self) -> str:

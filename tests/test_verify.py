@@ -55,9 +55,12 @@ def _with_first(family, extra):
 
 
 def _recursion_adds_q_z_m(monkeypatch):
-    _wrap(monkeypatch, ker, "solve_recursion", lambda family, kind, m, seed, qmax: _with_first(
-        family, Spinor.monomial(family.basis[0].basis, m, 0, QPoly.monomial(1)))
-        if family.basis else family)
+    def change(family, kind, m, seed, qmax):
+        if not family.basis:
+            return family
+        return _with_first(family, Spinor.monomial(family.basis[0].basis, m, 0, QPoly.monomial(1)))
+
+    _wrap(monkeypatch, ker, "solve_recursion", change)
 
 
 def _linear_solve_adds_z_m(monkeypatch):
