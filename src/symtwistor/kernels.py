@@ -49,6 +49,10 @@ class RecursionKind(Enum):
     DS2_EVEN = "ds2/even"
     DS2_ODD = "ds2/odd"
 
+    # Members are singletons; the identity hash is a C slot, and _relation's cache
+    # hashes a kind on every table slot the fill reads.
+    __hash__ = object.__hash__
+
     @property
     def operator_name(self) -> str:
         return self.value.split("/")[0]

@@ -230,8 +230,11 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
     """op applied to spinor (same basis) on numerators, one reduction per output polynomial.
 
     Coefficients and polynomials are each brought over the lcm of their denominators.
-    Output keys are entered in operator-term-outer, spinor-key-inner order.
+    The operator's terms act in groups of one position part (see _plan); output keys
+    are entered in group-outer, spinor-key-inner order, which is the order of first
+    contribution term by term.
     """
+    op_den, groups, levels = _plan(op)
     den = lcm(*(p._d for p in spinor.terms.values()))
     chains = {}  # key -> [(re, im, nonzero (k, re[k], im[k])) of Dq^f p over den, f = 0, 1, ...]
     for key, p in spinor.terms.items():
@@ -240,30 +243,94 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
             f = den // p._d
             re, im = tuple(x * f for x in re), tuple(y * f for y in im)
         chains[key] = [(re, im, _nonzero(re, im))]
-    op_den = lcm(*(c._d for c in op.terms.values()))
     # Dq^f p has len(p) + f coefficients, shifted by q^qc
     longest = max((len(p._re) for p in spinor.terms.values()), default=0)
     size = longest + max((m[2] + m[5] for m in op.terms), default=0)
     out: dict = {}  # output key -> (re, im) lists over op_den * den
-    for (a, b, qc, d, e, f), c in op.terms.items():
+    for (a, b, d, e), terms, rows in groups:
         for (m1, m2), chain in chains.items():
             if d > m1 or e > m2:
                 continue
-            while len(chain) <= f:
-                re, im = _dq(chain[-1][0]), _dq(chain[-1][1])
-                chain.append((re, im, _nonzero(re, im)))
             key = (m1 - d + a, m2 - e + b)
             acc = out.get(key)
             if acc is None:
                 acc = out[key] = ([0] * size, [0] * size)
             re, im = acc
-            w = op_den // c._d * perm(m1, d) * perm(m2, e)
-            ca, cb = c._a * w, c._b * w
-            for k, x, y in chain[f][2]:
-                re[k + qc] += x * ca - y * cb
-                im[k + qc] += x * cb + y * ca
+            w = perm(m1, d) * perm(m2, e)
+            if rows is not None:  # one pass over the merged rows L(q^k)
+                if len(rows) < len(chain[0][0]):  # grown only as far as an input reads
+                    _grow(rows, terms, levels, len(chain[0][0]))
+                for k, x, y in chain[0][2]:
+                    x, y = x * w, y * w
+                    for j, ra, rb in rows[k]:
+                        re[j] += x * ra - y * rb
+                        im[j] += x * rb + y * ra
+                continue
+            for qc, f, ca, cb in terms:
+                while len(chain) <= f:
+                    cre, cim = _dq(chain[-1][0]), _dq(chain[-1][1])
+                    chain.append((cre, cim, _nonzero(cre, cim)))
+                ca, cb = ca * w, cb * w
+                for k, x, y in chain[f][2]:
+                    re[k + qc] += x * ca - y * cb
+                    im[k + qc] += x * cb + y * ca
     d = op_den * den
     return Spinor(spinor.basis, {key: _canonical(re, im, d) for key, (re, im) in out.items()})
+
+
+def _plan(op: WeylOperator) -> tuple:
+    """op's apply plan, built on the first apply and kept on op: (op_den, groups, levels).
+
+    Coefficients are integers (ca, cb) over op_den. Each group is ((a, b, d, e), terms,
+    rows): the terms (qc, f, ca, cb) of one position part, in order of first appearance.
+    A group with 0 < sum(f) <= len(terms) gets rows, a table grown on demand whose row k
+    is the group's q-part applied to q^k, merged to nonzero (j, re, im); any other group
+    (no Dq, or Dq orders high against its size) has rows None and goes through the Dq
+    chain of each spinor term. levels[f][k] is Dq^f q^k as nonzero (j, integer), shared
+    by the groups of the plan.
+    """
+    plan = op._plan
+    if plan is None:
+        op_den = lcm(*(c._d for c in op.terms.values()))
+        parts: dict = {}
+        for (a, b, qc, d, e, f), c in op.terms.items():
+            w = op_den // c._d
+            parts.setdefault((a, b, d, e), []).append((qc, f, c._a * w, c._b * w))
+        groups = [(key, terms, [] if 0 < sum(t[1] for t in terms) <= len(terms) else None)
+                  for key, terms in parts.items()]
+        plan = (op_den, groups, [])
+        object.__setattr__(op, "_plan", plan)
+    return plan
+
+
+def _grow(rows: list, terms: list, levels: list, n: int) -> None:
+    """Extend a group's rows to n rows, and levels as far as those rows read.
+
+    Dq^f q^k = k*Dq^(f-1) q^(k-1) - Dq^(f-1) q^(k+1), so level f needs one row more
+    of level f-1; each level is built from the one below, not by repeated Dq.
+    """
+    top = max(t[1] for t in terms)
+    for g in range(top + 1):
+        if g == len(levels):
+            levels.append([])
+        level = levels[g]
+        for k in range(len(level), n + top - g):
+            if g == 0:
+                level.append(((k, 1),))
+                continue
+            acc = dict((j, k * x) for j, x in levels[g - 1][k - 1]) if k else {}
+            for j, x in levels[g - 1][k + 1]:
+                acc[j] = acc.get(j, 0) - x
+            level.append(tuple((j, x) for j, x in acc.items() if x))
+    span = max(qc + f for qc, f, _, _ in terms) + top + 1
+    for k in range(len(rows), n):
+        lo = max(k - top, 0)  # row k lies in q^lo .. q^(lo + span - 1)
+        re, im = [0] * span, [0] * span
+        for qc, f, ca, cb in terms:
+            for j, x in levels[f][k]:
+                re[j + qc - lo] += x * ca
+                im[j + qc - lo] += x * cb
+        rows.append([(lo + j, x, y) for j, x, y in _nonzero(re, im)])
 
 
 def _nonzero(re: tuple, im: tuple) -> list:

@@ -76,11 +76,12 @@ def _clean_terms(terms: Mapping[Monomial, GaussianRational]) -> dict:
 
 
 class WeylOperator:
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis", "terms", "_plan")
 
     def __init__(self, basis: BasisTag, terms: Mapping[Monomial, GaussianRational]):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _clean_terms(terms))
+        object.__setattr__(self, "_plan", None)  # spinor._plan builds it on the first apply
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylOperator is immutable")

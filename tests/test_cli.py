@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from symtwistor.cli import (
     main,
 )
 from symtwistor.exactnum import GaussianRational as G
-from symtwistor.kernels import monogenic_minus
+from symtwistor.kernels import monogenic_minus, raising_chain
 from symtwistor.parsing import MAX_COMPOSE_TERMS, MAX_EXPONENT, MAX_OPERATOR_DEGREE
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisTag
@@ -638,3 +641,24 @@ def test_stdin_spinor(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "apply", "q", "-")
     assert code == 0
     assert out.strip() == "exp(-q^2/2) * ((q))"
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_reproduce(tmp_path, capsys, monkeypatch):
+    """Each `$ symtwistor ...` example in README prints the block under it; `...` elides lines."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        command, *lines = block.splitlines()
+        if command.startswith("$ symtwistor "):
+            pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n"
+                              for line in lines)
+            examples.append((shlex.split(command)[2:], pattern))
+    assert len(examples) == 5
+    xs2 = raising_chain(Spinor.monomial(XY, 0, 0, [1]), 2)[-1]
+    (tmp_path / "xs2.json").write_text(json.dumps(xs2.to_json()))
+    monkeypatch.chdir(tmp_path)
+    for argv, pattern in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert re.fullmatch(pattern, out), (argv, out)

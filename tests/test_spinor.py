@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
+from symtwistor.operators import named_operator
 from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, MIXED, ODD, QPoly, Spinor
 from symtwistor.weyl import GENERATOR_NAMES, BasisMismatchError, BasisTag, WeylOperator
@@ -224,7 +225,7 @@ coeffs = st.builds(
 
 
 @st.composite
-def spinors(draw, basis=XY):
+def spinors(draw, basis=XY, qlen=5):
     n = draw(st.integers(min_value=0, max_value=3))
     terms = {}
     for _ in range(n):
@@ -232,7 +233,7 @@ def spinors(draw, basis=XY):
             draw(st.integers(min_value=0, max_value=3)),
             draw(st.integers(min_value=0, max_value=3)),
         )
-        terms[key] = QPoly(draw(st.lists(coeffs, max_size=5)))
+        terms[key] = QPoly(draw(st.lists(coeffs, max_size=qlen)))
     return Spinor(basis, terms)
 
 
@@ -317,10 +318,10 @@ def test_qpoly_equality_and_hash_are_coefficientwise(a, b):
 def operator_strings(draw, basis):
     """Random sums of products of generators, parsed in the given basis."""
     names = GENERATOR_NAMES[basis]
-    factor = st.tuples(st.sampled_from(names), st.integers(min_value=1, max_value=2))
+    factor = st.tuples(st.sampled_from(names), st.integers(min_value=1, max_value=4))
     scalar = st.sampled_from(["1", "i", "-2", "(1/2)", "(3/2*i)", "(1 - i)"])
     terms = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
         factors = draw(st.lists(factor, min_size=0, max_size=3))
         body = [n if e == 1 else f"{n}^{e}" for n, e in factors]
         terms.append("*".join([draw(scalar)] + body))
@@ -347,10 +348,18 @@ def reference_apply(op, s):
 @given(st.data())
 def test_apply_matches_term_by_term_reference(data):
     basis = data.draw(st.sampled_from([XY, ZZ]))
-    op = parse_operator(data.draw(operator_strings(basis)), basis)  # q, dq, i alone parse as xy
-    s = data.draw(spinors(basis))
-    got, want = op.apply(s), reference_apply(op, s)
-    assert got == want
-    assert list(got.terms) == list(want.terms)  # keys in order of first contribution
-    for poly in got.terms.values():
-        assert_canonical(poly)
+    registry = st.sampled_from(["xs", "ds", "ts", "ts2", "ds2"]).map(
+        lambda name: str(named_operator(name, basis)))
+    text = data.draw(st.one_of(operator_strings(basis), registry))
+    op = parse_operator(text, basis)  # q, dq, i alone parse as xy
+    # one operator, several inputs in any order: what apply keeps on op grows and is reused
+    for s in data.draw(st.lists(spinors(basis, qlen=12), min_size=3, max_size=3)):
+        got, want = op.apply(s), reference_apply(op, s)
+        assert got == want
+        assert list(got.terms) == list(want.terms)  # keys in order of first contribution
+        for poly in got.terms.values():
+            assert_canonical(poly)
+    fresh = parse_operator(text, basis)
+    assert op == fresh and hash(op) == hash(fresh)
+    with pytest.raises(AttributeError):
+        op.terms = {}
