@@ -440,6 +440,8 @@ def kernel_linear_solve(
     """
     if m < 0 or qmax < 0:
         raise ValueError("m and qmax must be nonnegative")
+    if parity not in (None, EVEN, ODD):
+        raise ValueError(f"parity must be None, {EVEN!r} or {ODD!r}, got {parity!r}")
     units = [
         Spinor.monomial(op.basis, e1, m - e1, QPoly.monomial(k))
         for e1 in range(m + 1)

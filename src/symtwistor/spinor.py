@@ -17,7 +17,7 @@ from .exactnum import _LATEX, _TEXT, ZERO, GaussianRational, ScalarLike, _Style
 from .exactnum import _write_product, _write_sum
 from .exactnum import _make as _scalar  # unchecked (a + b*i)/d; QPoly reads the triple
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
-from .weyl import WeylOperator, generator_images
+from .weyl import SUBSTITUTION, WeylOperator, substitute
 
 EVEN = "even"
 ODD = "odd"
@@ -113,7 +113,9 @@ class QPoly:
         )
 
     def shift(self, k: int) -> "QPoly":
-        """Multiply by q^k."""
+        """Multiply by q^k, k >= 0."""
+        if k < 0:
+            raise ValueError(f"q-shift needs a nonnegative exponent, got {k}")
         if self.is_zero() or k == 0:
             return self
         pad = (0,) * k
@@ -448,17 +450,11 @@ class Spinor:
     def change_basis(self, target: BasisTag) -> "Spinor":
         if target is self.basis:
             return self
-        images = generator_images(self.basis, target)
-        powers = []  # powers[slot][k] = (image of position `slot`)^k
-        for slot in (0, 1):
-            chain = [WeylOperator.identity(target)]
-            for _ in range(max((key[slot] for key in self.terms), default=0)):
-                chain.append(chain[-1].compose(images[slot]))
-            powers.append(chain)
+        images = substitute(SUBSTITUTION[self.basis][0], self.terms)
         parts: dict = {}  # target key -> [(scalar, 0, poly)]
-        for (e1, e2), poly in self.terms.items():
-            for (a, b, *_), scalar in powers[0][e1].compose(powers[1][e2]).terms.items():
-                parts.setdefault((a, b), []).append((scalar, 0, poly))
+        for key, poly in self.terms.items():
+            for target_key, scalar in images[key].items():
+                parts.setdefault(target_key, []).append((scalar, 0, poly))
         return Spinor(target, {key: QPoly.combination(ps) for key, ps in parts.items()})
 
     # ---- serialization ----

@@ -13,6 +13,10 @@ canonical form and equality is structural.
 
 Operators act on weight-stripped Spinor data: the stored polynomial p
 stands for e^{-q^2/2} * p, so Dq acts on stored data as (d/dq - q).
+
+The basis change, for operators and spinors alike, is one substitution of
+linear forms (SUBSTITUTION): positions to positions, derivatives to
+derivatives, q and Dq fixed, so images need no reordering.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Tuple
 
-from .exactnum import _EXPR, _LATEX, GaussianRational, ScalarLike, _Style
+from .exactnum import _EXPR, _LATEX, I, ONE, ZERO, GaussianRational, ScalarLike, _Style
 from .exactnum import _write_product, _write_sum
 
 Monomial = Tuple[int, int, int, int, int, int]  # (p1, p2, q, d1, d2, dq)
@@ -219,26 +223,21 @@ class WeylOperator:
         """
         if target is self.basis:
             return self
-        images = generator_images(self.basis, target)
-        powers = []  # powers[slot][k] = images[slot]^k
-        for slot, image in enumerate(images):
-            chain = [WeylOperator.identity(target)]
-            for _ in range(max((mono[slot] for mono in self.terms), default=0)):
-                chain.append(chain[-1].compose(image))
-            powers.append(chain)
+        positions, derivatives = SUBSTITUTION[self.basis]
+        pos = substitute(positions, {m[:2] for m in self.terms})
+        der = substitute(derivatives, {m[3:5] for m in self.terms})
         terms: dict = {}
-        for mono, coeff in self.terms.items():
-            acc = WeylOperator.scalar(target, coeff)
-            for slot, exp in enumerate(mono):
-                if exp:
-                    acc = acc.compose(powers[slot][exp])
-            for m, c in acc.terms.items():
-                if m in terms:
-                    c = terms[m] + c
-                    if c.is_zero():  # drop it now, so a later term re-enters it last
-                        del terms[m]
-                        continue
-                terms[m] = c
+        for (a, b, c, d, e, f), coeff in self.terms.items():
+            for (a2, b2), pc in pos[a, b].items():
+                pc = coeff * pc
+                for (d2, e2), dc in der[d, e].items():
+                    m, add = (a2, b2, c, d2, e2, f), pc * dc
+                    if m in terms:
+                        add = terms[m] + add
+                        if add.is_zero():  # drop it now, so a later term re-enters it last
+                            del terms[m]
+                            continue
+                    terms[m] = add
         return WeylOperator(target, terms)
 
     # ---- action on spinors ----
@@ -283,32 +282,30 @@ class WeylOperator:
         return self._render(_LATEX)
 
 
-def generator_images(source: BasisTag, target: BasisTag) -> list:
-    """Images of the six source generators as target-basis operators.
+# source basis -> (images of its positions, images of its derivatives) in the other
+# basis; the image (u, v) of a generator is u*T1 + v*T2 in the target positions or
+# derivatives (T1, T2). So x = (z + zbar)/2, dx = dz + dzbar, z = x + i*y, ...
+_HALF = GaussianRational(Fraction(1, 2))
+SUBSTITUTION = {
+    BasisTag.XY: (((_HALF, _HALF), (-I * _HALF, I * _HALF)), ((ONE, ONE), (I, -I))),
+    BasisTag.ZZBAR: (((ONE, I), (ONE, -I)), ((_HALF, -I * _HALF), (_HALF, I * _HALF))),
+}
 
-    The only place the substitution is written down; spinor and operator
-    basis changes both go through it.
+
+def substitute(forms, keys) -> dict:
+    """{(a, b): image of P1^a P2^b} for each (a, b) in keys, with P1, P2 -> forms.
+
+    The target pair (T1, T2) commutes, so each image is a plain polynomial
+    {(a', b'): coefficient}, highest power of T1 first, zero terms dropped.
     """
-    half = GaussianRational(Fraction(1, 2))
-    i = GaussianRational(0, 1)
-    g = lambda name: WeylOperator.generator(target, name)  # noqa: E731
-    if source is BasisTag.XY and target is BasisTag.ZZBAR:
-        return [
-            g("z").scale(half) + g("zbar").scale(half),  # x
-            g("z").scale(-i * half) + g("zbar").scale(i * half),  # y
-            g("q"),
-            g("dz") + g("dzbar"),  # dx
-            g("dz").scale(i) + g("dzbar").scale(-i),  # dy
-            g("dq"),
-        ]
-    if source is BasisTag.ZZBAR and target is BasisTag.XY:
-        return [
-            g("x") + g("y").scale(i),  # z
-            g("x") + g("y").scale(-i),  # zbar
-            g("q"),
-            g("dx").scale(half) + g("dy").scale(-i * half),  # dz
-            g("dx").scale(half) + g("dy").scale(i * half),  # dzbar
-            g("dq"),
-        ]
-    raise ValueError(f"no substitution from {source} to {target}")
-
+    images = {}
+    for a, b in keys:
+        # entry k of a row: the coefficient of T1^k T2^(n-k) in (u*T1 + v*T2)^n
+        rows = [[u**k * v ** (n - k) * comb(n, k) for k in range(n + 1)]
+                for (u, v), n in zip(forms, (a, b))]
+        coeffs = [ZERO] * (a + b + 1)  # coeffs[k]: coefficient of T1^k T2^(a+b-k)
+        for i, x in enumerate(rows[0]):
+            for j, y in enumerate(rows[1]):
+                coeffs[i + j] += x * y
+        images[a, b] = {(k, a + b - k): coeffs[k] for k in reversed(range(a + b + 1)) if coeffs[k]}
+    return images

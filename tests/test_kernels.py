@@ -574,6 +574,12 @@ def test_kernel_linear_solve_parity_filter():
     assert rank(cols, n) == rank(cols[:-1], n)
 
 
+def test_kernel_linear_solve_rejects_unknown_parity():
+    # an unknown parity used to solve the odd subspace
+    with pytest.raises(ValueError):
+        kernel_linear_solve(named_operator("ds", ZZ), 1, 5, parity="bogus")
+
+
 # ---- shared spinor helpers ----
 
 

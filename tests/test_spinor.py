@@ -48,6 +48,16 @@ def test_qpoly_shift_and_derivative():
     assert QPoly([5]).derivative().is_zero()
 
 
+def test_qpoly_negative_shift_raises():
+    # a negative exponent used to return the polynomial unchanged
+    with pytest.raises(ValueError):
+        QPoly([1, 2]).shift(-1)
+    with pytest.raises(ValueError):
+        QPoly().shift(-1)
+    with pytest.raises(ValueError):
+        QPoly.monomial(-2)
+
+
 def test_qpoly_weighted_dq():
     # on stored data, dq acts as d/dq - q
     assert QPoly([1]).weighted_dq() == QPoly([0, -1])

@@ -20,6 +20,7 @@ import symtwistor.operators as operators
 import symtwistor.verify as verify_mod
 from symtwistor.cli import _render_report_latex
 from symtwistor.spinor import QPoly, Spinor
+from symtwistor.weyl import BasisTag, WeylOperator
 
 ALL_REPORT_SHA256 = {
     "text": "7778c3126147a1da3f2ab3a0ff3f849a75c14eb358d09b69fef0fc2781dc6472",
@@ -109,6 +110,42 @@ def _minus_exclusion_plus_one(monkeypatch):
     _wrap(monkeypatch, ker, "verify_minus_exclusion", lambda c, m: c + 1)
 
 
+def _negated(obj, slot):
+    """obj with the generator of slot replaced by its negative: each term times (-1)^power."""
+    if isinstance(obj, Spinor):
+        return Spinor(obj.basis, {k: p.scale((-1) ** k[slot]) for k, p in obj.terms.items()})
+    return WeylOperator(obj.basis, {m: c * (-1) ** m[slot] for m, c in obj.terms.items()})
+
+
+def _wrong_form(monkeypatch, classes, source, slot):
+    """change_basis out of source maps the generator of slot to minus its image.
+
+    The registry cache is emptied, so no operator converted before the fault hides it.
+    """
+    for cls in classes:
+        genuine = cls.change_basis
+
+        def change_basis(obj, target, genuine=genuine):
+            if obj.basis is source and target is not source:
+                obj = _negated(obj, slot)
+            return genuine(obj, target)
+
+        monkeypatch.setattr(cls, "change_basis", change_basis)
+    monkeypatch.setattr(operators, "_BUILT", {})
+
+
+def _wrong_y_form(monkeypatch):
+    _wrong_form(monkeypatch, (WeylOperator,), BasisTag.XY, 1)
+
+
+def _wrong_dx_form(monkeypatch):
+    _wrong_form(monkeypatch, (WeylOperator,), BasisTag.XY, 3)
+
+
+def _wrong_z_form(monkeypatch):
+    _wrong_form(monkeypatch, (WeylOperator, Spinor), BasisTag.ZZBAR, 0)
+
+
 # (fault, check it must turn red)
 FAULTS = [
     (_recursion_adds_q_z_m, "random.ds-odd-to-twistor"),
@@ -120,6 +157,12 @@ FAULTS = [
     (_ts_plus_one, "zbasis.ts"),
     (_ladder_constant_doubled, "ladder.constants"),
     (_minus_exclusion_plus_one, "minus-exclusion.values"),
+    (_wrong_y_form, "zbasis.xs"),
+    (_wrong_y_form, "weyl.roundtrip"),
+    (_wrong_dx_form, "zbasis.ds"),
+    (_wrong_dx_form, "zbasis.ds2"),
+    (_wrong_z_form, "weyl.roundtrip"),
+    (_wrong_z_form, "monogenic-minus.displays"),
 ]
 
 

@@ -106,6 +106,12 @@ def test_change_basis_on_generators():
         "zbar", ZZ
     ).scale(G(0, half))
     assert gen("q").change_basis(ZZ) == gen("q", ZZ)
+    # z -> x + i y, zbar -> x - i y, dz -> (dx - i dy)/2, dzbar -> (dx + i dy)/2
+    assert gen("z", ZZ).change_basis(XY) == gen("x") + gen("y").scale(I)
+    assert gen("zbar", ZZ).change_basis(XY) == gen("x") - gen("y").scale(I)
+    assert gen("dz", ZZ).change_basis(XY) == (gen("dx") - gen("dy").scale(I)).scale(half)
+    assert gen("dzbar", ZZ).change_basis(XY) == (gen("dx") + gen("dy").scale(I)).scale(half)
+    assert gen("dq", ZZ).change_basis(XY) == gen("dq")
 
 
 def test_change_basis_same_target_is_identity():
@@ -185,17 +191,22 @@ def test_composition_associative(a, b, c):
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
-@settings(max_examples=40, deadline=None)
-@given(operators(), operators())
-def test_change_basis_is_multiplicative(a, b):
-    ab = a.compose(b).change_basis(ZZ)
-    assert ab == a.change_basis(ZZ).compose(b.change_basis(ZZ))
+def _other(basis):
+    return ZZ if basis is XY else XY
 
 
 @settings(max_examples=60, deadline=None)
-@given(operators())
+@given(st.sampled_from([XY, ZZ]).flatmap(lambda b: st.tuples(operators(b), operators(b))))
+def test_change_basis_is_multiplicative(pair):
+    a, b = pair  # one basis, drawn per example, so the zzbar -> xy direction is covered too
+    t = _other(a.basis)
+    assert a.compose(b).change_basis(t) == a.change_basis(t).compose(b.change_basis(t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(operators(), operators(ZZ)))
 def test_change_basis_round_trip(a):
-    assert a.change_basis(ZZ).change_basis(XY) == a
+    assert a.change_basis(_other(a.basis)).change_basis(a.basis) == a
 
 
 @settings(max_examples=40, deadline=None)
