@@ -33,7 +33,6 @@ from .verify import VerificationReport, run_suite, suite_names
 MAX_SPINOR_QDEGREE = 512  # the q-degree of an `apply` or `decompose` input
 MAX_TABLE_ORDER = 100  # the n of `tables`
 MAX_GENERATE_DEGREE = 100  # the m of `generate`
-MAX_GENERATE_QMAX = 256  # the --qmax of `generate`
 MAX_DECOMPOSE_HOMOGENEITY = 24  # the top position degree of a `decompose` input
 MAX_APPLY_DEGREE = 100  # the top position degree of an `apply` input
 
@@ -126,15 +125,12 @@ def _cmd_generate(args) -> Tuple[int, str]:
     if args.m < 0:
         raise ValueError("m must be nonnegative")
     _require_at_most("m", args.m, MAX_GENERATE_DEGREE)
-    if args.kind == "monogenic+" and args.qmax is not None:
-        raise ValueError("--qmax applies only to monogenic- and twistor")
-    _require_at_most("qmax", args.qmax or 0, MAX_GENERATE_QMAX)
     if args.kind == "monogenic+":
         spinors = [monogenic_plus(args.m)]
     elif args.kind == "monogenic-":
-        spinors = [monogenic_minus(args.m, args.qmax)]
+        spinors = [monogenic_minus(args.m)]
     else:
-        spinors = twistor_kernel_basis(args.m, args.qmax)
+        spinors = twistor_kernel_basis(args.m)
     target = BasisTag.parse(args.basis) if args.basis else BasisTag.ZZBAR
     spinors = [s.change_basis(target) for s in spinors]
     return 0, _render_spinors(spinors, args.format)
@@ -304,12 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("kind", choices=["monogenic+", "monogenic-", "twistor"])
     p.add_argument("m", type=int, help="homogeneity degree (nonnegative)")
-    p.add_argument(
-        "--qmax",
-        type=int,
-        default=None,
-        help="truncation bound override for monogenic- and twistor",
-    )
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser(

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 from .exactnum import GaussianRational, I
 from .weyl import BasisTag, WeylOperator
-from .operators import build_xs
+from .operators import named_operator
 
 TableKey = Tuple[int, int]
 
@@ -48,7 +48,7 @@ def a_table_from_power(n: int) -> Dict[TableKey, int]:
     so the monomial (a, b, c, 0, 0, f) yields j = a - c, k = c and the
     table value coeff / i^a.
     """
-    op = build_xs() ** n
+    op = named_operator("xs") ** n
     out: Dict[TableKey, int] = {}
     for (a, b, c, d, e, f), coeff in op.terms.items():
         if d or e:

@@ -253,30 +253,26 @@ def monogenic_plus(m: int) -> Spinor:
     return Spinor.monomial(BasisTag.ZZBAR, m, 0, [1])
 
 
-def monogenic_minus(m: int, qmax: Optional[int] = None) -> Spinor:
+def monogenic_minus(m: int) -> Spinor:
     """The odd Dirac-kernel element grown from seed A^0 = 1 (zzbar basis).
 
-    The solution terminates at q-degree 2m+1, so any qmax >= 2m+2 yields
-    the same element; the parameter exists to let callers widen the
-    truncation window explicitly.
+    The solution terminates at q-degree 2m+1, so the narrowest window,
+    qmax = 2m+2, already holds all of it.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if qmax is None:
-        qmax = 2 * m + 2
-    family = solve_recursion(RecursionKind.DS_ODD, m, QPoly([1]), qmax)
+    family = solve_recursion(RecursionKind.DS_ODD, m, QPoly([1]), 2 * m + 2)
     element = family.basis[0]
     if family.free_parameters or family.extends_beyond_truncation[0]:
         raise ArithmeticError("odd Dirac family unexpectedly underdetermined")
     return element
 
 
-def twistor_kernel_basis(m: int, qmax: Optional[int] = None) -> List[Spinor]:
+def twistor_kernel_basis(m: int) -> List[Spinor]:
     """Basis of the homogeneity-m twistor kernel (zzbar basis).
 
     m = 0: the two constant spinors. m >= 1: the raising-operator images
-    of the two homogeneity-(m-1) Dirac-kernel representatives. qmax, if
-    given, widens the truncation window used for the odd layer.
+    of the two homogeneity-(m-1) Dirac-kernel representatives.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -288,7 +284,7 @@ def twistor_kernel_basis(m: int, qmax: Optional[int] = None) -> List[Spinor]:
     xs_z = named_operator("xs", BasisTag.ZZBAR)
     return [
         xs_z.apply(monogenic_plus(m - 1)),
-        xs_z.apply(monogenic_minus(m - 1, qmax)),
+        xs_z.apply(monogenic_minus(m - 1)),
     ]
 
 
@@ -391,9 +387,11 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
     """Write s = sum_j X_s^j m_j with every m_j in the Dirac kernel.
 
     Peels the chain s, D_s s, D_s^2 s, ... from its last nonzero (monogenic)
-    entry up. A pair (m, X_s^p m) of the layer below becomes m/c at power
-    p+1, c its ladder constant, with image X_s (X_s^p m)/c: one raising step
-    per component and layer. What the images leave of a chain entry is its
+    entry up. D_s lowers the position degree by one, so the chain has at
+    most l + 1 entries; a longer one raises ArithmeticError. A pair
+    (m, X_s^p m) of the layer below becomes m/c at power p+1, c its ladder
+    constant, with image X_s (X_s^p m)/c: one raising step per component
+    and layer. What the images leave of a chain entry is its
     power-0 component, listed first. Independent guard: reassemble must give s.
     """
     if s.is_zero():
@@ -405,6 +403,9 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
     ds = named_operator("ds", s.basis)
     chain = [s]
     while not (image := ds.apply(chain[-1])).is_zero():
+        if len(chain) > l:
+            raise ArithmeticError(
+                f"D_s chain of a degree-{l} spinor did not end within {l + 1} steps")
         chain.append(image)
     top = len(chain) - 1
     pairs = [(HoweComponent(l - top, 0, chain[top]), chain[top])]

@@ -3,12 +3,12 @@
 Each operator is parsed from its defining expression in the xy basis;
 casimir and ds_squared are composed from those (ds_squared natively in
 zzbar, where its closed form lives). The registry hands out any of them
-in either basis via change_basis.
+in either basis via change_basis, built once; the rest of the package
+reads operators only through named_operator, so a rebound registry entry
+reaches every user. Each build_* call builds afresh.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .parsing import _Parser  # not parse_operator, whose traced calls count user input
 from .weyl import BasisTag, WeylOperator
@@ -37,16 +37,6 @@ def build_ts_reduced() -> WeylOperator:
 def build_ts_component2() -> WeylOperator:
     """Second twistor component."""
     return _Parser("2*dy + i*dq^2*dx + q*dq*dy").parse()
-
-
-@dataclass(frozen=True)
-class TwistorPair:
-    comp1: WeylOperator
-    comp2: WeylOperator
-
-
-def build_ts_full() -> TwistorPair:
-    return TwistorPair(build_ts_reduced(), build_ts_component2())
 
 
 def build_rho_x() -> WeylOperator:

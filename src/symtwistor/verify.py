@@ -27,19 +27,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .exactnum import G, GaussianRational, I, MINUS_I
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor
-from .operators import (
-    build_casimir,
-    build_ds,
-    build_ds_squared,
-    build_euler,
-    build_rho_h,
-    build_rho_x,
-    build_rho_y,
-    build_ts_reduced,
-    build_xs,
-    named_operator,
-    operator_names,
-)
+from .operators import named_operator, operator_names
 from . import combinatorics as comb_mod
 from . import kernels as ker
 from .parsing import parse_operator
@@ -151,8 +139,7 @@ def _cases(
 
     The witness is `label: got <got>` for the first row with got != want.
     rows() is called afresh on every run and read lazily, so the check stops
-    at its first mismatch and looks builders up through this module's
-    globals when it runs.
+    at its first mismatch and looks registry operators up when it runs.
     """
 
     def check() -> Optional[str]:
@@ -169,8 +156,8 @@ def _cases(
 def _residual(residual: Callable[[], WeylOperator]):
     """One row: residual() against the zero operator of its own basis.
 
-    Residuals look this module's builders up at call time, so a replaced
-    builder reaches every check that uses it.
+    Residuals look operators up in the registry (named_operator) at call
+    time, so a rebound registry entry reaches every check that uses it.
     """
 
     def rows():
@@ -181,15 +168,17 @@ def _residual(residual: Callable[[], WeylOperator]):
 
 
 _cases("sl2.euler-ds", "[E+1, D_s] = -D_s", "algebra", 1,
-       _residual(lambda: (build_euler() + 1).commutator(build_ds()) + build_ds()))
+       _residual(lambda: (named_operator("euler") + 1).commutator(named_operator("ds"))
+                 + named_operator("ds")))
 _cases("sl2.euler-xs", "[E+1, X_s] = X_s", "algebra", 1,
-       _residual(lambda: (build_euler() + 1).commutator(build_xs()) - build_xs()))
+       _residual(lambda: (named_operator("euler") + 1).commutator(named_operator("xs"))
+                 - named_operator("xs")))
 
 
 @_check("sl2.ds-xs", "[D_s, X_s] = E+1", "algebra", 1)
 def _sl2_ds_xs() -> Optional[str]:
-    ds, xs, e1 = build_ds(), build_xs(), build_euler() + 1
-    actual = ds.commutator(xs)
+    e1 = named_operator("euler") + 1
+    actual = named_operator("ds").commutator(named_operator("xs"))
     if actual == e1:
         return None
     if actual == e1.scale(MINUS_I):
@@ -198,24 +187,27 @@ def _sl2_ds_xs() -> Optional[str]:
 
 
 _cases("mp2.x-y", "[rhoX, rhoY] = rhoH", "algebra", 1,
-       _residual(lambda: build_rho_x().commutator(build_rho_y()) - build_rho_h()))
+       _residual(lambda: named_operator("rhoX").commutator(named_operator("rhoY"))
+                 - named_operator("rhoH")))
 _cases("mp2.h-x", "[rhoH, rhoX] = 2 rhoX", "algebra", 1,
-       _residual(lambda: build_rho_h().commutator(build_rho_x()) - build_rho_x().scale(2)))
+       _residual(lambda: named_operator("rhoH").commutator(named_operator("rhoX"))
+                 - named_operator("rhoX").scale(2)))
 _cases("mp2.h-y", "[rhoH, rhoY] = -2 rhoY", "algebra", 1,
-       _residual(lambda: build_rho_h().commutator(build_rho_y()) + build_rho_y().scale(2)))
+       _residual(lambda: named_operator("rhoH").commutator(named_operator("rhoY"))
+                 + named_operator("rhoY").scale(2)))
 for _a in ("xs", "ds"):
     for _b in ("rhoX", "rhoY", "rhoH"):
         _cases(f"cross.{_a}-{_b}", f"[{_a}, {_b}] = 0", "algebra", 1,
                _residual(lambda a=_a, b=_b: named_operator(a).commutator(named_operator(b))))
 _cases("casimir.expansion",
        "rhoH^2 + 1 + 2 rhoX rhoY + 2 rhoY rhoX equals its expanded xy display", "algebra", 1,
-       _residual(lambda: build_casimir() - parse_operator(
+       _residual(lambda: named_operator("casimir") - parse_operator(
            "x^2*dx^2 + y^2*dy^2 + 2*x*dx + 4*y*dy + 2*x*y*dx*dy + 1/4"
            " - 2*x*q*dx*dq + 2*y*q*dy*dq + 2*i*y*dx*dq^2 + 2*i*x*q^2*dy")))
 
 
 def _casimir_central_rows():
-    cas = build_casimir()
+    cas = named_operator("casimir")
     for name in ("xs", "ds", "rhoX", "rhoY", "rhoH"):
         yield f"[casimir, {name}]", cas.commutator(named_operator(name)), WeylOperator.zero(XY)
 
@@ -239,17 +231,17 @@ _cases("casimir.scalar",
        "the Casimir acts by one scalar on each raised Dirac-kernel component (l+j <= 4)",
        "algebra", None, _casimir_scalar_rows)
 _cases("zbasis.xs", "converted X_s equals its zzbar display (constant 1)", "algebra", 2,
-       _residual(lambda: build_xs().change_basis(ZZ)
+       _residual(lambda: named_operator("xs", ZZ)
                  - parse_operator("(1/2)*i*((q - dq)*z + (q + dq)*zbar)")))
 _cases("zbasis.ds", "converted D_s equals its zzbar display (constant 1)", "algebra", 2,
-       _residual(lambda: build_ds().change_basis(ZZ)
+       _residual(lambda: named_operator("ds", ZZ)
                  + parse_operator("(q + dq)*dz + (-q + dq)*dzbar")))
 _cases("zbasis.ts",
        "converted first twistor component equals its zzbar display (constant 1)", "algebra", 2,
-       _residual(lambda: build_ts_reduced().change_basis(ZZ)
+       _residual(lambda: named_operator("ts", ZZ)
                  - parse_operator("(1 - q*dq - q^2)*dz + (1 - q*dq + q^2)*dzbar")))
 _cases("zbasis.ds2", "D_s composed with itself equals the quadratic zzbar display", "algebra",
-       None, _residual(lambda: build_ds_squared() - parse_operator(
+       None, _residual(lambda: named_operator("ds2", ZZ) - parse_operator(
            "(q^2 + 2*q*dq + 1 + dq^2)*dz^2 + 2*(-q^2 + dq^2)*dz*dzbar"
            " + (q^2 - 2*q*dq - 1 + dq^2)*dzbar^2")))
 
@@ -312,7 +304,7 @@ _TS_ON_XS_POWERS: Dict[Tuple[int, int], Spinor] = {
 
 
 def _ts_xs_powers_rows():
-    ts = build_ts_reduced()
+    ts = named_operator("ts")
     chains = {shift: ker.raising_chain(_vacuum(shift), 3) for shift in (0, 1)}
     for (n, shift), want in sorted(_TS_ON_XS_POWERS.items()):
         yield f"n={n}, q-shift={shift}", ts.apply(chains[shift][n]), want
@@ -417,7 +409,7 @@ _cases("monogenic-minus.displays",
 
 def _twistor_annihilation_rows():
     ops = ((named_operator("ts", ZZ), "comp1"), (named_operator("ts2", ZZ), "comp2"),
-           (build_ds_squared(), "ds2"))
+           (named_operator("ds2", ZZ), "ds2"))
     for m in range(9):
         basis = ker.twistor_kernel_basis(m)
         yield f"m={m}, element count", len(basis), 2
@@ -514,7 +506,7 @@ _cases("random.ds-odd-to-twistor",
 
 def _random_twistor_rows():
     rng = random.Random(_RANDOM_SEED + 1)
-    ts_z, ds2 = named_operator("ts", ZZ), build_ds_squared()
+    ts_z, ds2 = named_operator("ts", ZZ), named_operator("ds2", ZZ)
     bases: Dict[int, Tuple[Spinor, ...]] = {}
     for trial in range(50):
         m = rng.randint(0, 5)

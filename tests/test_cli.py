@@ -10,11 +10,11 @@ from symtwistor.cli import (
     MAX_APPLY_DEGREE,
     MAX_DECOMPOSE_HOMOGENEITY,
     MAX_GENERATE_DEGREE,
-    MAX_GENERATE_QMAX,
     MAX_SPINOR_QDEGREE,
     MAX_TABLE_ORDER,
     main,
 )
+from symtwistor import operators
 from symtwistor.exactnum import GaussianRational as G
 from symtwistor.kernels import monogenic_minus, raising_chain
 from symtwistor.parsing import MAX_COMPOSE_TERMS, MAX_EXPONENT, MAX_OPERATOR_DEGREE
@@ -79,14 +79,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_verify_all_detects_corrupted_operator_table(capsys, monkeypatch):
-    import symtwistor.verify as verify_mod
-
-    genuine = verify_mod.build_xs
-
-    def corrupted(*args, **kwargs):
-        return genuine(*args, **kwargs) + 1
-
-    monkeypatch.setattr(verify_mod, "build_xs", corrupted)
+    monkeypatch.setitem(operators._BUILDERS, "xs", lambda: operators.build_xs() + 1)
     code, out, _ = run(capsys, "verify", "all")
     assert code == 1
     # a check that is green on the honest table must now carry a witness
@@ -95,14 +88,7 @@ def test_verify_all_detects_corrupted_operator_table(capsys, monkeypatch):
 
 
 def test_ds_xs_witness_names_minus_i_only_when_true(capsys, monkeypatch):
-    import symtwistor.verify as verify_mod
-
-    genuine = verify_mod.build_ds
-
-    def rescaled(*args, **kwargs):
-        return genuine(*args, **kwargs).scale(2)
-
-    monkeypatch.setattr(verify_mod, "build_ds", rescaled)
+    monkeypatch.setitem(operators._BUILDERS, "ds", lambda: operators.build_ds().scale(2))
     code, out, _ = run(capsys, "verify", "algebra")
     assert code == 1
     # the bracket is now -2i*(E+1); the witness must not call it -i*(E+1)
@@ -301,27 +287,12 @@ def test_generate_negative_m_is_error(capsys):
     assert "nonnegative" in err
 
 
-def test_generate_qmax_override(capsys):
-    code, out, _ = run(capsys, "generate", "monogenic-", "2", "--qmax", "12")
-    assert code == 0
-    assert out.strip() == str(monogenic_minus(2))
-    code, _, err = run(capsys, "generate", "monogenic-", "2", "--qmax", "3")
-    assert code == 2  # below the window the solver needs
-
-
-def test_generate_monogenic_plus_rejects_qmax(capsys):
-    # monogenic+ has no truncation bound, so --qmax would be ignored
-    code, out, err = run(capsys, "generate", "monogenic+", "1", "--qmax", "4")
-    assert code == 2
-    assert out == ""
-    assert err == "error: --qmax applies only to monogenic- and twistor\n"
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "combinatorics", "--basis", "xy"],
         ["tables", "A", "3", "--qmax", "7"],
+        ["generate", "monogenic-", "2", "--qmax", "12"],
     ],
 )
 def test_flags_a_subcommand_never_reads_are_usage_errors(argv, capsys):
@@ -510,7 +481,6 @@ def test_tables_negative_n_is_error(capsys):
         (["tables", "stirling-tilde", str(MAX_TABLE_ORDER + 1)], "n", MAX_TABLE_ORDER),
         (["generate", "monogenic-", "1000000"], "m", MAX_GENERATE_DEGREE),
         (["generate", "twistor", str(MAX_GENERATE_DEGREE + 1)], "m", MAX_GENERATE_DEGREE),
-        (["generate", "monogenic-", "1", "--qmax", "1000000000"], "qmax", MAX_GENERATE_QMAX),
     ],
 )
 def test_table_and_generate_limits_exit_2_before_any_work(capsys, argv, name, limit):

@@ -160,8 +160,8 @@ def subcommand_argv(paths):
         .map(lambda t: ["verify", t[0], *t[1]]),
         st.tuples(
             st.sampled_from(["monogenic+", "monogenic-", "twistor", "monogenic", "-m"]),
-            integers, st.just([]) | integers.map(lambda n: ["--qmax", n]), bases_argv, formats_argv,
-        ).map(lambda t: ["generate", t[0], t[1], *t[2], *t[3], *t[4]]),
+            integers, bases_argv, formats_argv,
+        ).map(lambda t: ["generate", t[0], t[1], *t[2], *t[3]]),
         st.tuples(op, path, bases_argv, formats_argv, st.booleans()).map(
             lambda t: ["apply", *t[2], *t[3], *(["--"] if t[4] else []), t[0], t[1]]),
         st.tuples(path, bases_argv, formats_argv).map(lambda t: ["decompose", *t[1], *t[2], t[0]]),

@@ -279,7 +279,13 @@ def test_monogenic_minus_small():
 
 
 def test_monogenic_minus_wider_window_is_same_element():
-    assert monogenic_minus(2, qmax=10) == monogenic_minus(2)
+    # the element ends at q-degree 2m+1, so no window wider than 2m+2 changes it
+    for m in range(5):
+        want = monogenic_minus(m)
+        for qmax in range(2 * m + 2, 2 * m + 13, 2):
+            family = solve_recursion(RecursionKind.DS_ODD, m, QPoly([1]), qmax)
+            assert family.basis[0] == want, (m, qmax)
+            assert family.free_parameters == (), (m, qmax)
 
 
 def test_twistor_kernel_basis_m0():
@@ -373,6 +379,13 @@ def test_howe_decompose_zero_and_errors():
     mixed = Spinor(ZZ, {(1, 0): QPoly([1]), (2, 0): QPoly([1])})
     with pytest.raises(NonHomogeneousError):
         howe_decompose(mixed)
+
+
+def test_howe_decompose_stops_a_chain_that_does_not_end(monkeypatch):
+    # D_s + 1 keeps the degree, so D_s^j s never vanishes; the chain is cut at l + 1
+    monkeypatch.setitem(operators._BUILDERS, "ds", lambda: build_ds() + 1)
+    with pytest.raises(ArithmeticError, match="degree-1 spinor did not end within 2 steps"):
+        howe_decompose(Spinor.monomial(XY, 1, 0, QPoly([1])))
 
 
 def test_howe_decompose_works_in_xy_basis():

@@ -12,7 +12,6 @@ from symtwistor.operators import (
     build_rho_x,
     build_rho_y,
     build_ts_component2,
-    build_ts_full,
     build_ts_reduced,
     build_xs,
     named_operator,
@@ -81,12 +80,6 @@ def test_parsed_builders_equal_their_generator_compositions():
     assert build_rho_h() == (
         -(g("x") * g("dx")) + g("y") * g("dy") + g("q") * g("dq") + Fraction(1, 2)
     )
-
-
-def test_twistor_pair_components():
-    pair = build_ts_full()
-    assert pair.comp1 == build_ts_reduced()
-    assert pair.comp2 == build_ts_component2()
 
 
 def test_casimir_is_composed_from_rho_generators():

@@ -5,7 +5,8 @@ They change only when a check's id, anchor, order or outcome changes.
 
 Each fault of the fault table is planted by monkeypatching. It must turn
 its check red (status fail or error), and that check must be green
-without it.
+without it. Operator faults are planted in the registry
+(`operators._BUILDERS`), the one place where checks read operators.
 """
 
 import dataclasses
@@ -88,18 +89,41 @@ def _stirling_tilde_5_off_by_one(monkeypatch):
     _wrap(monkeypatch, comb_mod, "stirling_tilde", change)
 
 
+def _plus(monkeypatch, name, extra):
+    """Rebind the registry entry name to its genuine operator + extra; every check reads it."""
+    genuine = operators._BUILDERS[name]
+    monkeypatch.setitem(operators._BUILDERS, name, lambda: genuine() + extra)
+
+
+_Q = WeylOperator.generator(BasisTag.XY, "q")
+
+
 def _casimir_plus_euler(monkeypatch):
-    monkeypatch.setitem(
-        operators._BUILDERS, "casimir",
-        lambda: operators.build_casimir() + operators.build_euler())
+    _plus(monkeypatch, "casimir", operators.build_euler())
 
 
 def _rho_h_plus_one(monkeypatch):
-    _wrap(monkeypatch, verify_mod, "build_rho_h", lambda op: op + 1)
+    _plus(monkeypatch, "rhoH", 1)
 
 
 def _ts_plus_one(monkeypatch):
-    _wrap(monkeypatch, verify_mod, "build_ts_reduced", lambda op: op + 1)
+    _plus(monkeypatch, "ts", 1)
+
+
+def _ds_plus_one(monkeypatch):
+    _plus(monkeypatch, "ds", 1)
+
+
+def _rho_x_plus_q(monkeypatch):
+    _plus(monkeypatch, "rhoX", _Q)
+
+
+def _rho_y_plus_q(monkeypatch):
+    _plus(monkeypatch, "rhoY", _Q)
+
+
+def _rho_h_plus_q(monkeypatch):
+    _plus(monkeypatch, "rhoH", _Q)
 
 
 def _ladder_constant_doubled(monkeypatch):
@@ -155,6 +179,13 @@ FAULTS = [
     (_casimir_plus_euler, "casimir.scalar"),
     (_rho_h_plus_one, "mp2.x-y"),
     (_ts_plus_one, "zbasis.ts"),
+    (_ds_plus_one, "howe.roundtrip"),
+    (_rho_x_plus_q, "cross.xs-rhoX"),
+    (_rho_x_plus_q, "cross.ds-rhoX"),
+    (_rho_y_plus_q, "cross.xs-rhoY"),
+    (_rho_y_plus_q, "cross.ds-rhoY"),
+    (_rho_h_plus_q, "cross.xs-rhoH"),
+    (_rho_h_plus_q, "cross.ds-rhoH"),
     (_ladder_constant_doubled, "ladder.constants"),
     (_minus_exclusion_plus_one, "minus-exclusion.values"),
     (_wrong_y_form, "zbasis.xs"),
