@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .exactnum import ZERO, GaussianRational, G, _sub_mul
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
-from .operators import _BUILDERS, _get_or_build, named_operator
+from .operators import _get_or_build, named_operator
 
 
 class NonHomogeneousError(ValueError):
@@ -331,8 +331,8 @@ class HoweComponent:
 def _ladder_scale(basis: BasisTag = BasisTag.XY) -> GaussianRational:
     """The scalar c with [D_s, X_s] = c (E+1), from the registry operators.
 
-    Stored in the operator registry's cache under the basis and the ds, xs and
-    euler builders, so a rebound registry entry is followed.
+    Stored in the operator registry's cache, keyed like its operators, so a
+    rebound registry entry is followed.
     """
 
     def build() -> GaussianRational:
@@ -342,7 +342,7 @@ def _ladder_scale(basis: BasisTag = BasisTag.XY) -> GaussianRational:
             raise ArithmeticError(f"[D_s, X_s] = {bracket} is not a multiple of E+1")
         return c
 
-    return _get_or_build((basis, *(_BUILDERS[name] for name in ("ds", "xs", "euler"))), build)
+    return _get_or_build("ladder-scale", basis, build)
 
 
 def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:

@@ -1,11 +1,11 @@
 """Builders for the distinguished operators and the name registry.
 
 Each operator is parsed from its defining expression in the xy basis;
-casimir and ds_squared are composed from those (ds_squared natively in
-zzbar, where its closed form lives). The registry hands out any of them
-in either basis via change_basis, built once; the rest of the package
-reads operators only through named_operator, so a rebound registry entry
-reaches every user. Each build_* call builds afresh.
+casimir and ds_squared are composed from registry entries (ds_squared
+natively in zzbar, where its closed form lives). The registry hands out
+any of them in either basis via change_basis, built once; the package,
+composites included, reads operators only through named_operator, so a
+rebound registry entry reaches every user. Each build_* call builds afresh.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def build_rho_h() -> WeylOperator:
 
 def build_casimir() -> WeylOperator:
     """rhoH^2 + 1 + 2*rhoX*rhoY + 2*rhoY*rhoX, composed exactly."""
-    rho_x, rho_y, rho_h = build_rho_x(), build_rho_y(), build_rho_h()
+    rho_x, rho_y, rho_h = (named_operator(name) for name in ("rhoX", "rhoY", "rhoH"))
     return (
         rho_h * rho_h
         + WeylOperator.identity(BasisTag.XY)
@@ -67,7 +67,7 @@ def build_casimir() -> WeylOperator:
 
 def build_ds_squared() -> WeylOperator:
     """D_s composed with itself, in the zzbar basis where it is block-diagonal."""
-    ds_z = build_ds().change_basis(BasisTag.ZZBAR)
+    ds_z = named_operator("ds", BasisTag.ZZBAR)
     return ds_z.compose(ds_z)
 
 
@@ -85,14 +85,15 @@ _BUILDERS = {
 }
 
 
-# Values derived from registry operators: (builder, basis) -> operator here, and
-# kernels' ladder scale. Keys hold the builder objects, so an entry of _BUILDERS
-# that is rebound (a test double, a tracer) starts with no cached value.
+# Values derived from registry operators: the operators here, and kernels' ladder
+# scale. Keys hold the builder objects, so rebinding any entry of _BUILDERS (a test
+# double, a tracer) rebuilds every value made from it, composites included.
 _BUILT: dict = {}
 
 
-def _get_or_build(key, build):
-    """The value cached under key, made by build() on first use."""
+def _get_or_build(name: str, basis: BasisTag, build):
+    """The value cached for name in basis under the current builders, made by build()."""
+    key = (name, basis, *_BUILDERS.values())
     value = _BUILT.get(key)
     if value is None:
         value = _BUILT[key] = build()
@@ -106,7 +107,7 @@ def operator_names() -> list[str]:
 def named_operator(name: str, basis: BasisTag = BasisTag.XY) -> WeylOperator:
     """Look up a distinguished operator by registry name, in the requested basis.
 
-    Operators are immutable, so each (builder, basis) is built once and shared.
+    Operators are immutable, so each (name, basis) is built once and shared.
     """
     try:
         builder = _BUILDERS[name]
@@ -114,4 +115,4 @@ def named_operator(name: str, basis: BasisTag = BasisTag.XY) -> WeylOperator:
         raise KeyError(
             f"unknown operator {name!r}; known: {', '.join(operator_names())}"
         ) from None
-    return _get_or_build((builder, basis), lambda: builder().change_basis(basis))
+    return _get_or_build(name, basis, lambda: builder().change_basis(basis))

@@ -232,25 +232,27 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
     """op applied to spinor (same basis) on numerators, one reduction per output polynomial.
 
     Coefficients and polynomials are each brought over the lcm of their denominators.
-    The operator's terms act in groups of one position part (see _plan); output keys
-    are entered in group-outer, spinor-key-inner order, which is the order of first
-    contribution term by term.
+    The operator's terms act in groups of one position part (see _plan). A group-outer,
+    spinor-key-inner pass enters the output keys in order of first contribution term by
+    term and applies the row-side groups; the chain-side groups then act term by term,
+    so one term's Dq chain is alive at a time.
     """
-    op_den, groups, levels = _plan(op)
+    op_den, groups = _plan(op)
     den = lcm(*(p._d for p in spinor.terms.values()))
-    chains = {}  # key -> [(re, im, nonzero (k, re[k], im[k])) of Dq^f p over den, f = 0, 1, ...]
+    bases = {}  # spinor key -> (re, im, nonzero (k, re[k], im[k])) over den
     for key, p in spinor.terms.items():
         re, im = p._re, p._im
         if p._d != den:
             f = den // p._d
             re, im = tuple(x * f for x in re), tuple(y * f for y in im)
-        chains[key] = [(re, im, _nonzero(re, im))]
+        bases[key] = (re, im, _nonzero(re, im))
     # Dq^f p has len(p) + f coefficients, shifted by q^qc
     longest = max((len(p._re) for p in spinor.terms.values()), default=0)
     size = longest + max((m[2] + m[5] for m in op.terms), default=0)
     out: dict = {}  # output key -> (re, im) lists over op_den * den
+    chained: dict = {}  # spinor key -> [(terms, re, im, w)] of its chain-side groups
     for (a, b, d, e), terms, rows in groups:
-        for (m1, m2), chain in chains.items():
+        for (m1, m2), base in bases.items():
             if d > m1 or e > m2:
                 continue
             key = (m1 - d + a, m2 - e + b)
@@ -259,15 +261,19 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
                 acc = out[key] = ([0] * size, [0] * size)
             re, im = acc
             w = perm(m1, d) * perm(m2, e)
-            if rows is not None:  # one pass over the merged rows L(q^k)
-                if len(rows) < len(chain[0][0]):  # grown only as far as an input reads
-                    _grow(rows, terms, levels, len(chain[0][0]))
-                for k, x, y in chain[0][2]:
-                    x, y = x * w, y * w
-                    for j, ra, rb in rows[k]:
-                        re[j] += x * ra - y * rb
-                        im[j] += x * rb + y * ra
+            if rows is None:
+                chained.setdefault((m1, m2), []).append((terms, re, im, w))
                 continue
+            if len(rows) < len(base[0]):  # grown only as far as an input reads
+                _grow(rows, terms, len(base[0]))
+            for k, x, y in base[2]:  # one pass over the merged rows L(q^k)
+                x, y = x * w, y * w
+                for j, ra, rb in rows[k]:
+                    re[j] += x * ra - y * rb
+                    im[j] += x * rb + y * ra
+    for key, todo in chained.items():
+        chain = [bases[key]]  # Dq^f of the term, f = 0, 1, ...; dropped after its term
+        for terms, re, im, w in todo:
             for qc, f, ca, cb in terms:
                 while len(chain) <= f:
                     cre, cim = _dq(chain[-1][0]), _dq(chain[-1][1])
@@ -281,15 +287,14 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
 
 
 def _plan(op: WeylOperator) -> tuple:
-    """op's apply plan, built on the first apply and kept on op: (op_den, groups, levels).
+    """op's apply plan, built on the first apply and kept on op: (op_den, groups).
 
     Coefficients are integers (ca, cb) over op_den. Each group is ((a, b, d, e), terms,
     rows): the terms (qc, f, ca, cb) of one position part, in order of first appearance.
     A group with 0 < sum(f) <= len(terms) gets rows, a table grown on demand whose row k
     is the group's q-part applied to q^k, merged to nonzero (j, re, im); any other group
     (no Dq, or Dq orders high against its size) has rows None and goes through the Dq
-    chain of each spinor term. levels[f][k] is Dq^f q^k as nonzero (j, integer), shared
-    by the groups of the plan.
+    chain of each spinor term.
     """
     plan = op._plan
     if plan is None:
@@ -300,39 +305,28 @@ def _plan(op: WeylOperator) -> tuple:
             parts.setdefault((a, b, d, e), []).append((qc, f, c._a * w, c._b * w))
         groups = [(key, terms, [] if 0 < sum(t[1] for t in terms) <= len(terms) else None)
                   for key, terms in parts.items()]
-        plan = (op_den, groups, [])
+        plan = (op_den, groups)
         object.__setattr__(op, "_plan", plan)
     return plan
 
 
-def _grow(rows: list, terms: list, levels: list, n: int) -> None:
-    """Extend a group's rows to n rows, and levels as far as those rows read.
+def _grow(rows: list, terms: list, n: int) -> None:
+    """Extend a group's rows to n rows, each built straight from q^k.
 
-    Dq^f q^k = k*Dq^(f-1) q^(k-1) - Dq^(f-1) q^(k+1), so level f needs one row more
-    of level f-1; each level is built from the one below, not by repeated Dq.
+    Each term (qc, f, ca, cb) takes q^k through f weighted-Dq steps, q^j -> j*q^(j-1) -
+    q^(j+1), and adds (ca + i*cb)*q^qc times the result; f sums to at most len(terms).
     """
-    top = max(t[1] for t in terms)
-    for g in range(top + 1):
-        if g == len(levels):
-            levels.append([])
-        level = levels[g]
-        for k in range(len(level), n + top - g):
-            if g == 0:
-                level.append(((k, 1),))
-                continue
-            acc = dict((j, k * x) for j, x in levels[g - 1][k - 1]) if k else {}
-            for j, x in levels[g - 1][k + 1]:
-                acc[j] = acc.get(j, 0) - x
-            level.append(tuple((j, x) for j, x in acc.items() if x))
-    span = max(qc + f for qc, f, _, _ in terms) + top + 1
     for k in range(len(rows), n):
-        lo = max(k - top, 0)  # row k lies in q^lo .. q^(lo + span - 1)
-        re, im = [0] * span, [0] * span
+        row: dict = {}  # j -> (re, im) of q^j
         for qc, f, ca, cb in terms:
-            for j, x in levels[f][k]:
-                re[j + qc - lo] += x * ca
-                im[j + qc - lo] += x * cb
-        rows.append([(lo + j, x, y) for j, x, y in _nonzero(re, im)])
+            level = {k: 1}  # Dq^g q^k; its exponents share one parity, and the next
+            for _ in range(f):  # step's run from |min - 1| (1 when min is 0) to max + 1
+                level = {j: (j + 1) * level.get(j + 1, 0) - level.get(j - 1, 0)
+                         for j in range(abs(min(level) - 1), max(level) + 2, 2)}
+            for j, x in level.items():
+                ra, rb = row.get(j + qc, (0, 0))
+                row[j + qc] = (ra + x * ca, rb + x * cb)
+        rows.append([(j, x, y) for j, (x, y) in row.items() if x or y])
 
 
 def _nonzero(re: tuple, im: tuple) -> list:
@@ -448,6 +442,8 @@ class Spinor:
     # ---- basis change ----
 
     def change_basis(self, target: BasisTag) -> "Spinor":
+        if not isinstance(target, BasisTag):
+            raise TypeError(f"change_basis needs a BasisTag, got {target!r}")
         if target is self.basis:
             return self
         images = substitute(SUBSTITUTION[self.basis][0], self.terms)

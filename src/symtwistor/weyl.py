@@ -221,6 +221,8 @@ class WeylOperator:
         the map is an algebra homomorphism and the two directions are
         mutually inverse.
         """
+        if not isinstance(target, BasisTag):
+            raise TypeError(f"change_basis needs a BasisTag, got {target!r}")
         if target is self.basis:
             return self
         positions, derivatives = SUBSTITUTION[self.basis]

@@ -156,3 +156,9 @@ def test_rebound_registry_entry_is_built_on_the_next_lookup(monkeypatch):
     assert calls == [1]
     monkeypatch.undo()
     assert named_operator("xs", ZZ) == build_xs().change_basis(ZZ)
+
+
+def test_named_operator_rejects_a_basis_that_is_not_a_basis_tag():
+    # unchecked, "xy" is not BasisTag.XY: X_s would come back in zzbar terms tagged "xy"
+    with pytest.raises(TypeError, match="needs a BasisTag"):
+        named_operator("xs", "xy")

@@ -93,6 +93,12 @@ def test_explicit_basis_conversion():
     assert op == gen("dz", ZZ) + gen("dzbar", ZZ)
 
 
+def test_conversion_target_must_be_a_basis_tag():
+    # unchecked, the string would tag the untouched xy operator x as "zzbar"
+    with pytest.raises(TypeError, match="needs a BasisTag"):
+        parse_operator("x", "zzbar")
+
+
 def test_mixed_bases_rejected_with_position():
     with pytest.raises(OperatorSyntaxError) as exc:
         parse_operator("x + zbar")

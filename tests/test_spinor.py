@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, perm
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
+from symtwistor.kernels import monogenic_plus
 from symtwistor.operators import named_operator
 from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, MIXED, ODD, QPoly, Spinor
@@ -159,6 +161,12 @@ def test_change_basis_preserves_structure():
     assert t.basis is ZZ
     assert t.q_degree() == s.q_degree()
     assert t.change_basis(XY) == s
+
+
+def test_change_basis_rejects_a_target_that_is_not_a_basis_tag():
+    # unchecked, the string would tag the xy image of the zzbar spinor as "zzbar"
+    with pytest.raises(TypeError, match="needs a BasisTag"):
+        monogenic_plus(1).change_basis("zzbar")
 
 
 def test_json_shape():
@@ -373,3 +381,22 @@ def test_apply_matches_term_by_term_reference(data):
     assert op == fresh and hash(op) == hash(fresh)
     with pytest.raises(AttributeError):
         op.terms = {}
+
+
+def test_apply_holds_one_dq_chain_at_a_time():
+    # (q*dq)^32 acts through the Dq chain of each spinor term, 33 levels; a chain
+    # dropped after its term keeps the peak near one term's, not 16 terms'
+    op = parse_operator("(q*dq)^32")
+    poly = QPoly([Fraction(1, 3)])
+
+    def peak(n):
+        s = Spinor(XY, {(e1, n - 1 - e1): poly for e1 in range(n)})
+        tracemalloc.start()
+        try:
+            op.apply(s)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the plan, built once and kept on op
+    assert peak(16) < 8 * peak(1)

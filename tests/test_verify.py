@@ -180,8 +180,12 @@ FAULTS = [
     (_rho_h_plus_one, "mp2.x-y"),
     (_ts_plus_one, "zbasis.ts"),
     (_ds_plus_one, "howe.roundtrip"),
+    (_ds_plus_one, "zbasis.ds2"),
+    (_ds_plus_one, "random.twistor-in-ds2"),
     (_rho_x_plus_q, "cross.xs-rhoX"),
     (_rho_x_plus_q, "cross.ds-rhoX"),
+    (_rho_x_plus_q, "casimir.expansion"),
+    (_rho_x_plus_q, "casimir.scalar"),
     (_rho_y_plus_q, "cross.xs-rhoY"),
     (_rho_y_plus_q, "cross.ds-rhoY"),
     (_rho_h_plus_q, "cross.xs-rhoH"),
