@@ -328,7 +328,7 @@ class HoweComponent:
     monogenic: Spinor
 
 
-def _ladder_scale(basis: BasisTag = BasisTag.XY) -> GaussianRational:
+def _ladder_scale() -> GaussianRational:
     """The scalar c with [D_s, X_s] = c (E+1), from the registry operators.
 
     Stored in the operator registry's cache, keyed like its operators, so a
@@ -336,13 +336,13 @@ def _ladder_scale(basis: BasisTag = BasisTag.XY) -> GaussianRational:
     """
 
     def build() -> GaussianRational:
-        bracket = named_operator("ds", basis).commutator(named_operator("xs", basis))
+        bracket = named_operator("ds").commutator(named_operator("xs"))
         c = bracket.terms.get((0,) * 6, G(0))
-        if bracket != (named_operator("euler", basis) + 1).scale(c):
+        if bracket != (named_operator("euler") + 1).scale(c):
             raise ArithmeticError(f"[D_s, X_s] = {bracket} is not a multiple of E+1")
         return c
 
-    return _get_or_build("ladder-scale", basis, build)
+    return _get_or_build("ladder-scale", BasisTag.XY, build)
 
 
 def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:

@@ -232,56 +232,48 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
     """op applied to spinor (same basis) on numerators, one reduction per output polynomial.
 
     Coefficients and polynomials are each brought over the lcm of their denominators.
-    The operator's terms act in groups of one position part (see _plan). A group-outer,
-    spinor-key-inner pass enters the output keys in order of first contribution term by
-    term and applies the row-side groups; the chain-side groups then act term by term,
-    so one term's Dq chain is alive at a time.
+    The operator's terms act in groups of one position part (see _plan). One pass over
+    the spinor terms meets every group: row-side groups act through their rows,
+    chain-side groups through the term's Dq chain, which is dropped after the term.
     """
     op_den, groups = _plan(op)
     den = lcm(*(p._d for p in spinor.terms.values()))
-    bases = {}  # spinor key -> (re, im, nonzero (k, re[k], im[k])) over den
-    for key, p in spinor.terms.items():
-        re, im = p._re, p._im
-        if p._d != den:
-            f = den // p._d
-            re, im = tuple(x * f for x in re), tuple(y * f for y in im)
-        bases[key] = (re, im, _nonzero(re, im))
     # Dq^f p has len(p) + f coefficients, shifted by q^qc
     longest = max((len(p._re) for p in spinor.terms.values()), default=0)
     size = longest + max((m[2] + m[5] for m in op.terms), default=0)
     out: dict = {}  # output key -> (re, im) lists over op_den * den
-    chained: dict = {}  # spinor key -> [(terms, re, im, w)] of its chain-side groups
-    for (a, b, d, e), terms, rows in groups:
-        for (m1, m2), base in bases.items():
+    for (m1, m2), p in spinor.terms.items():
+        re, im = p._re, p._im
+        if p._d != den:
+            f = den // p._d
+            re, im = tuple(x * f for x in re), tuple(y * f for y in im)
+        chain = [(re, im, _nonzero(re, im))]  # Dq^f of the term, f = 0, 1, ...
+        for (a, b, d, e), terms, rows in groups:
             if d > m1 or e > m2:
                 continue
             key = (m1 - d + a, m2 - e + b)
             acc = out.get(key)
             if acc is None:
                 acc = out[key] = ([0] * size, [0] * size)
-            re, im = acc
+            ore, oim = acc
             w = perm(m1, d) * perm(m2, e)
             if rows is None:
-                chained.setdefault((m1, m2), []).append((terms, re, im, w))
+                for qc, f, ca, cb in terms:
+                    while len(chain) <= f:
+                        cre, cim = _dq(chain[-1][0]), _dq(chain[-1][1])
+                        chain.append((cre, cim, _nonzero(cre, cim)))
+                    ca, cb = ca * w, cb * w
+                    for k, x, y in chain[f][2]:
+                        ore[k + qc] += x * ca - y * cb
+                        oim[k + qc] += x * cb + y * ca
                 continue
-            if len(rows) < len(base[0]):  # grown only as far as an input reads
-                _grow(rows, terms, len(base[0]))
-            for k, x, y in base[2]:  # one pass over the merged rows L(q^k)
+            if len(rows) < len(re):  # grown only as far as an input reads
+                _grow(rows, terms, len(re))
+            for k, x, y in chain[0][2]:  # one pass over the merged rows L(q^k)
                 x, y = x * w, y * w
                 for j, ra, rb in rows[k]:
-                    re[j] += x * ra - y * rb
-                    im[j] += x * rb + y * ra
-    for key, todo in chained.items():
-        chain = [bases[key]]  # Dq^f of the term, f = 0, 1, ...; dropped after its term
-        for terms, re, im, w in todo:
-            for qc, f, ca, cb in terms:
-                while len(chain) <= f:
-                    cre, cim = _dq(chain[-1][0]), _dq(chain[-1][1])
-                    chain.append((cre, cim, _nonzero(cre, cim)))
-                ca, cb = ca * w, cb * w
-                for k, x, y in chain[f][2]:
-                    re[k + qc] += x * ca - y * cb
-                    im[k + qc] += x * cb + y * ca
+                    ore[j] += x * ra - y * rb
+                    oim[j] += x * rb + y * ra
     d = op_den * den
     return Spinor(spinor.basis, {key: _canonical(re, im, d) for key, (re, im) in out.items()})
 

@@ -223,6 +223,7 @@ def _casimir_scalar_rows():
             chain = ker.raising_chain(make(l), 4 - l)
             c0 = ker.scalar_action(cas_z, chain[0])
             yield f"{tag} l={l}, acts by a scalar", c0 is not None, True
+            yield f"{tag} l={l}, scalar (2l+1)^2/4", c0, G(Fraction((2 * l + 1) ** 2, 4))
             for j in range(1, 5 - l):
                 yield f"{tag} l={l}, j={j}, scalar", ker.scalar_action(cas_z, chain[j]), c0
 
@@ -412,8 +413,14 @@ def _twistor_annihilation_rows():
            (named_operator("ds2", ZZ), "ds2"))
     for m in range(9):
         basis = ker.twistor_kernel_basis(m)
+        # first (key, q-power, coefficient): 1 and q at m = 0, then X_s of z^(m-1), i*q*z^m,
+        # and X_s of the odd element, whose first term is i/2 * zbar^m
+        leading = ((((0, 0), 0, 1), ((0, 0), 1, 1)) if m == 0 else
+                   (((m, 0), 1, I), ((0, m), 0, I / 2)))
         yield f"m={m}, element count", len(basis), 2
-        for idx, el in enumerate(basis):
+        for idx, (el, lead) in enumerate(zip(basis, leading)):
+            key = min(el.terms)
+            yield f"m={m}, element {idx}, first term", (key, *next(el.terms[key].nonzero_terms())), lead
             for op, name in ops:
                 yield f"m={m}, element {idx}, {name} image", op.apply(el), Spinor.zero(ZZ)
 
@@ -525,11 +532,14 @@ _cases("random.twistor-in-ds2",
 
 
 def _spans_equal(a: List[Spinor], b: List[Spinor]) -> bool:
+    """Whether the bases a and b span one space: each side independent, no rank gained together."""
     if not a and not b:
         return True
     cols, n = ker.spinor_columns(a + b)
     return (
-        ker.rank(cols[: len(a)], n)
+        len(a)
+        == ker.rank(cols[: len(a)], n)
+        == len(b)
         == ker.rank(cols[len(a) :], n)
         == ker.rank(cols, n)
     )

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, perm
 from typing import Mapping, Tuple
 
 from .exactnum import _EXPR, _LATEX, I, ONE, ZERO, GaussianRational, ScalarLike, _Style
@@ -77,6 +78,12 @@ def _clean_terms(terms: Mapping[Monomial, GaussianRational]) -> dict:
         if not c.is_zero():
             out[tuple(mono)] = c
     return out
+
+
+@lru_cache(maxsize=1 << 12)  # bounded: one entry per (d, a) ever composed
+def _contractions(d: int, a: int) -> tuple:
+    """D^d P^a = sum of w * P^(a-j) D^(d-j) over the (j, w) listed, w = C(d,j) C(a,j) j!."""
+    return tuple((j, comb(d, j) * perm(a, j)) for j in range(min(d, a) + 1))
 
 
 class WeylOperator:
@@ -165,14 +172,10 @@ class WeylOperator:
             for m2, c2 in other.terms.items():
                 a2, b2, q2, d2, e2, f2 = m2
                 base = c1 * c2
-                # move each derivative block of m1 past the matching
-                # position block of m2: D^d P^a = sum_j C(d,j) C(a,j) j! P^(a-j) D^(d-j)
-                for j1 in range(min(d1, a2) + 1):
-                    w1 = comb(d1, j1) * comb(a2, j1) * factorial(j1)
-                    for j2 in range(min(e1, b2) + 1):
-                        w2 = comb(e1, j2) * comb(b2, j2) * factorial(j2)
-                        for j3 in range(min(f1, q2) + 1):
-                            w3 = comb(f1, j3) * comb(q2, j3) * factorial(j3)
+                # move each derivative block of m1 past the matching position block of m2
+                for j1, w1 in _contractions(d1, a2):
+                    for j2, w2 in _contractions(e1, b2):
+                        for j3, w3 in _contractions(f1, q2):
                             mono = (
                                 a1 + a2 - j1,
                                 b1 + b2 - j2,
@@ -187,16 +190,13 @@ class WeylOperator:
         return WeylOperator(self.basis, terms)
 
     def _compose_terms(self, other: "WeylOperator", stop: int) -> int:
-        """Terms compose(other) makes before like terms merge, counted up to past stop.
-
-        These are the loop bounds of compose: per term pair, the product over
-        x, y, q of min(derivative power in self, position power in other) + 1.
-        """
+        """Terms compose(other) makes before like terms merge, counted up to past stop."""
         made = 0
         for m1 in self.terms:
             d1, e1, f1 = m1[3:]
             for m2 in other.terms:
-                made += (min(d1, m2[0]) + 1) * (min(e1, m2[1]) + 1) * (min(f1, m2[2]) + 1)
+                made += (len(_contractions(d1, m2[0])) * len(_contractions(e1, m2[1]))
+                         * len(_contractions(f1, m2[2])))
             if made > stop:
                 break
         return made
@@ -233,13 +233,8 @@ class WeylOperator:
             for (a2, b2), pc in pos[a, b].items():
                 pc = coeff * pc
                 for (d2, e2), dc in der[d, e].items():
-                    m, add = (a2, b2, c, d2, e2, f), pc * dc
-                    if m in terms:
-                        add = terms[m] + add
-                        if add.is_zero():  # drop it now, so a later term re-enters it last
-                            del terms[m]
-                            continue
-                    terms[m] = add
+                    m = (a2, b2, c, d2, e2, f)
+                    terms[m] = terms.get(m, ZERO) + pc * dc
         return WeylOperator(target, terms)
 
     # ---- action on spinors ----

@@ -325,7 +325,9 @@ def test_ladder_constant_values():
 
 def test_ladder_scale_is_the_bracket_scalar_in_both_bases():
     # [D_s, X_s] = -i (E+1): the derived scalar, not the E+1 that sl2.ds-xs states
-    assert kernels_mod._ladder_scale(XY) == kernels_mod._ladder_scale(ZZ) == MINUS_I
+    assert kernels_mod._ladder_scale() == MINUS_I
+    bracket = named_operator("ds", ZZ).commutator(named_operator("xs", ZZ))
+    assert bracket == (named_operator("euler", ZZ) + 1).scale(MINUS_I)
 
 
 def test_ladder_constant_follows_a_rebound_ds(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
-from symtwistor.kernels import monogenic_plus
+from symtwistor.kernels import howe_decompose, monogenic_plus
 from symtwistor.operators import named_operator
 from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, MIXED, ODD, QPoly, Spinor
@@ -349,8 +349,8 @@ def operator_strings(draw, basis):
 def reference_apply(op, s):
     """Each (operator term, spinor term) pair applied and summed on coefficient lists."""
     out = {}
-    for (a, b, qc, d, e, f), c in op.terms.items():
-        for (m1, m2), poly in s.terms.items():
+    for (m1, m2), poly in s.terms.items():
+        for (a, b, qc, d, e, f), c in op.terms.items():
             if d > m1 or e > m2:
                 continue
             q = list(poly.coeffs)
@@ -381,6 +381,43 @@ def test_apply_matches_term_by_term_reference(data):
     assert op == fresh and hash(op) == hash(fresh)
     with pytest.raises(AttributeError):
         op.terms = {}
+
+
+def entered_in_reverse(obj):
+    """obj with the same terms, entered in reverse order."""
+    return type(obj)(obj.basis, dict(reversed(obj.terms.items())))
+
+
+def renderings(obj):
+    out = (str(obj), obj.to_latex())
+    return out + (json.dumps(obj.to_json()),) if isinstance(obj, Spinor) else out
+
+
+@st.composite
+def homogeneous_spinors(draw, basis):
+    l = draw(st.integers(min_value=0, max_value=3))
+    keys = draw(st.lists(st.integers(min_value=0, max_value=l), max_size=l + 1, unique=True))
+    return Spinor(basis, {(e1, l - e1): QPoly(draw(st.lists(coeffs, max_size=4))) for e1 in keys})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_term_order_reaches_no_output(data):
+    basis = data.draw(st.sampled_from([XY, ZZ]))
+    target = ZZ if basis is XY else XY
+    op, other = (parse_operator(data.draw(operator_strings(basis)), basis) for _ in range(2))
+    s, h = data.draw(spinors(basis)), data.draw(homogeneous_spinors(basis))
+    rop, rother, rs, rh = map(entered_in_reverse, (op, other, s, h))
+    for got, want in (
+        (op.apply(s), rop.apply(rs)),
+        (op.compose(other), rop.compose(rother)),
+        (op.change_basis(target), rop.change_basis(target)),
+        (s.change_basis(target), rs.change_basis(target)),
+    ):
+        assert renderings(got) == renderings(want)
+    got, want = howe_decompose(h), howe_decompose(rh)
+    assert [(c.homogeneity, c.power, renderings(c.monogenic)) for c in got] == [
+        (c.homogeneity, c.power, renderings(c.monogenic)) for c in want]
 
 
 def test_apply_holds_one_dq_chain_at_a_time():

@@ -134,6 +134,18 @@ def _minus_exclusion_plus_one(monkeypatch):
     _wrap(monkeypatch, ker, "verify_minus_exclusion", lambda c, m: c + 1)
 
 
+def _scalar_action_doubled(monkeypatch):
+    _wrap(monkeypatch, ker, "scalar_action", lambda c, op, s: None if c is None else c * 2)
+
+
+def _rank_plus_one(monkeypatch):
+    _wrap(monkeypatch, ker, "rank", lambda r, columns, nrows: r + 1)
+
+
+def _twistor_basis_first_doubled(monkeypatch):
+    _wrap(monkeypatch, ker, "twistor_kernel_basis", lambda basis, m: [basis[0].scale(2), *basis[1:]])
+
+
 def _negated(obj, slot):
     """obj with the generator of slot replaced by its negative: each term times (-1)^power."""
     if isinstance(obj, Spinor):
@@ -192,6 +204,9 @@ FAULTS = [
     (_rho_h_plus_q, "cross.ds-rhoH"),
     (_ladder_constant_doubled, "ladder.constants"),
     (_minus_exclusion_plus_one, "minus-exclusion.values"),
+    (_scalar_action_doubled, "casimir.scalar"),
+    (_rank_plus_one, "oracle.recursion-vs-linear"),
+    (_twistor_basis_first_doubled, "twistor-basis.annihilation"),
     (_wrong_y_form, "zbasis.xs"),
     (_wrong_y_form, "weyl.roundtrip"),
     (_wrong_dx_form, "zbasis.ds"),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -177,12 +178,47 @@ monomials = st.tuples(*[st.integers(min_value=0, max_value=2) for _ in range(6)]
 
 
 @st.composite
-def operators(draw, basis=XY):
+def operators(draw, basis=XY, monomials=monomials):
     n = draw(st.integers(min_value=0, max_value=3))
     terms = {}
     for _ in range(n):
         terms[draw(monomials)] = draw(coeffs)
     return WeylOperator(basis, terms)
+
+
+def leibniz_terms(a, b):
+    """The (monomial, coefficient) terms of a after b, one per (term pair, j1, j2, j3).
+
+    D^d P^p = sum_j C(d,j) C(p,j) j! P^(p-j) D^(d-j) for each of the x, y, q pairs.
+    """
+    made = []
+    for (a1, b1, q1, d1, e1, f1), c1 in a.terms.items():
+        for (a2, b2, q2, d2, e2, f2), c2 in b.terms.items():
+            for j1 in range(min(d1, a2) + 1):
+                for j2 in range(min(e1, b2) + 1):
+                    for j3 in range(min(f1, q2) + 1):
+                        w = 1
+                        for d, p, j in ((d1, a2, j1), (e1, b2, j2), (f1, q2, j3)):
+                            w *= comb(d, j) * comb(p, j) * factorial(j)
+                        mono = (a1 + a2 - j1, b1 + b2 - j2, q1 + q2 - j3,
+                                d1 + d2 - j1, e1 + e2 - j2, f1 + f2 - j3)
+                        made.append((mono, c1 * c2 * w))
+    return made
+
+
+wide_operators = operators(monomials=st.tuples(*[st.integers(min_value=0, max_value=4)] * 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_operators, wide_operators)
+def test_compose_matches_term_by_term_leibniz_reference(a, b):
+    made = leibniz_terms(a, b)
+    want = WeylOperator.zero(XY)
+    for mono, c in made:
+        want = want + WeylOperator(XY, {mono: c})
+    assert a.compose(b) == want
+    # the parser's limit predicts the terms compose makes before like terms merge
+    assert a._compose_terms(b, 10**9) == len(made)
 
 
 @settings(max_examples=40, deadline=None)
