@@ -7,6 +7,9 @@ Three families:
   * stirling(n, m) - coefficients of (q dq)^n = sum_m s(n,m) q^m dq^m.
   * stirling_tilde(n) - coefficients of (q + dq)^n in the three-generator
     algebra where [dq, q] = qt is central, computed by direct expansion.
+
+The *_from_power oracles and q_dq_entries read an operator power that the
+caller builds, so a sweep over n walks one WeylOperator.powers sequence.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from math import comb
 from typing import Dict, Tuple
 
 from .exactnum import GaussianRational, I
-from .weyl import BasisTag, WeylOperator
-from .operators import named_operator
+from .weyl import WeylOperator
 
 TableKey = Tuple[int, int]
 
@@ -41,25 +43,21 @@ def a_table(n: int) -> Dict[TableKey, int]:
     return table
 
 
-def a_table_from_power(n: int) -> Dict[TableKey, int]:
-    """Read A^n_{jk} back out of the normal-ordered operator power.
+def a_table_from_power(power: WeylOperator, n: int) -> Dict[TableKey, int]:
+    """Read A^n_{jk} back out of power, the normal-ordered X_s^n (entry n of X_s.powers).
 
     Term shape: A^n_{jk} * y^(n-j-k) * (i x)^(j+k) * q^k * dq^(n-2j-k),
     so the monomial (a, b, c, 0, 0, f) yields j = a - c, k = c and the
     table value coeff / i^a.
     """
-    op = named_operator("xs") ** n
     out: Dict[TableKey, int] = {}
-    for (a, b, c, d, e, f), coeff in op.terms.items():
+    for (a, b, c, d, e, f), coeff in power.terms.items():
         if d or e:
             raise AssertionError("unexpected x/y derivative in a raising-operator power")
         j, k = a - c, c
         if b != n - j - k or f != n - 2 * j - k or j < 0:
             raise AssertionError(f"monomial {(a, b, c, d, e, f)} outside the expected shape")
-        value = coeff * I ** ((4 - a % 4) % 4)  # divide by i^a
-        if value.im != 0 or value.re.denominator != 1:
-            raise AssertionError(f"non-integer table entry {value} at {(j, k)}")
-        out[(j, k)] = value.re.numerator
+        out[(j, k)] = _integer(coeff * I ** ((4 - a % 4) % 4), (j, k))  # divide by i^a
     return out
 
 
@@ -78,18 +76,28 @@ def stirling(n: int, m: int) -> int:
     return row.get(m, 0)
 
 
-def stirling_from_power(n: int, m: int) -> int:
-    """Oracle: normal-order (q dq)^n in the Weyl algebra and read the q^m dq^m entry."""
-    qdq = WeylOperator.generator(BasisTag.XY, "q") * WeylOperator.generator(
-        BasisTag.XY, "dq"
-    )
-    op = qdq**n
-    coeff = op.terms.get((0, 0, m, 0, 0, m))
-    if coeff is None:
-        return 0
-    if coeff.im != 0 or coeff.re.denominator != 1:
-        raise AssertionError(f"non-integer entry {coeff}")
-    return coeff.re.numerator
+def stirling_from_power(power: WeylOperator, n: int, m: int) -> int:
+    """Oracle: the q^m dq^m entry of power, the normal-ordered (q dq)^n; same domain as stirling."""
+    if n < 1 or m < 1:
+        raise ValueError("stirling_from_power(power, n, m) needs n >= 1, m >= 1")
+    coeff = power.terms.get((0, 0, m, 0, 0, m))
+    return 0 if coeff is None else _integer(coeff, (m, m))
+
+
+def q_dq_entries(power: WeylOperator) -> Dict[TableKey, int]:
+    """{(q exponent, dq exponent): entry} of an operator in q and dq alone, integer entries."""
+    out: Dict[TableKey, int] = {}
+    for (a, b, c, d, e, f), coeff in power.terms.items():
+        if a or b or d or e:
+            raise AssertionError(f"monomial {(a, b, c, d, e, f)} is not in q and dq alone")
+        out[(c, f)] = _integer(coeff, (c, f))
+    return out
+
+
+def _integer(value: GaussianRational, key) -> int:
+    if value.im != 0 or value.re.denominator != 1:
+        raise AssertionError(f"non-integer table entry {value} at {key}")
+    return value.re.numerator
 
 
 # ---- (q + dq)^n with a central commutator marker ----
@@ -137,10 +145,11 @@ def stirling_tilde(n: int) -> Dict[TableKey, int]:
     return out
 
 
-def stirling_tilde_collapse(n: int) -> Dict[TableKey, int]:
-    """Evaluate qt -> 1: entries (i_q, i_dq) of the plain Weyl expansion of (q+dq)^n."""
+def stirling_tilde_collapse(table: Dict[TableKey, int], n: int) -> Dict[TableKey, int]:
+    """Evaluate qt -> 1 in table = stirling_tilde(n): entries (i_q, i_dq) of the plain
+    Weyl expansion of (q+dq)^n."""
     out: Dict[TableKey, int] = {}
-    for (i, r), c in stirling_tilde(n).items():
+    for (i, r), c in table.items():
         key = (i - r, n - i - r)
         out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}

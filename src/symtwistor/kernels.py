@@ -20,12 +20,11 @@ algebra over Q(i) on the coefficient space, no recursion involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import ZERO, GaussianRational, G, _sub_mul
 from .weyl import BasisTag, WeylOperator
@@ -81,8 +80,7 @@ def operator_for_kind(kind: RecursionKind) -> WeylOperator:
     return named_operator(kind.operator_name, BasisTag.ZZBAR)
 
 
-@dataclass(frozen=True)
-class KernelFamily:
+class KernelFamily(NamedTuple):
     homogeneity: int
     kind: Optional[RecursionKind]
     qmax: int
@@ -291,13 +289,13 @@ def twistor_kernel_basis(m: int) -> List[Spinor]:
 # ---- exclusion coefficients ----
 
 
-def verify_exclusion(n: int, m: int) -> GaussianRational:
+def verify_exclusion(raised: Spinor, n: int, m: int) -> GaussianRational:
     """Exact coefficient of x^(n-1+m) q^n in the first twistor component of
-    the n-fold raised e^{-q^2/2} (x+iy)^m."""
-    if n < 0 or m < 0:
-        raise ValueError("n and m must be nonnegative")
-    s = raising_chain(monogenic_plus(m).change_basis(BasisTag.XY), n)[-1]
-    out = named_operator("ts", BasisTag.XY).apply(s)
+    raised = X_s^n e^{-q^2/2} (x+iy)^m, entry n of any raising chain
+    raising_chain(monogenic_plus(m).change_basis(BasisTag.XY), top >= n)."""
+    if n < 0 or m < 0 or raised.homogeneity() != n + m:
+        raise ValueError("verify_exclusion needs X_s^n of a degree-m spinor, n, m >= 0")
+    out = named_operator("ts", BasisTag.XY).apply(raised)
     return out.coefficient_of(n - 1 + m, 0, n)
 
 
@@ -321,8 +319,7 @@ def verify_minus_exclusion(m: int) -> GaussianRational:
 # ---- Howe-type peeling ----
 
 
-@dataclass(frozen=True)
-class HoweComponent:
+class HoweComponent(NamedTuple):
     homogeneity: int  # of the monogenic part
     power: int  # raising-operator exponent
     monogenic: Spinor

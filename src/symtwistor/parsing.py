@@ -30,8 +30,8 @@ generator of the other basis is a syntax error where it is reached.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import GaussianRational
 from .weyl import GENERATOR_NAMES, BasisTag, WeylOperator
@@ -59,8 +59,7 @@ MAX_COMPOSE_TERMS = 20_000  # terms of one composition before like terms merge
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", "ident", or the operator character itself
     text: str
     position: int

@@ -201,13 +201,17 @@ class WeylOperator:
                 break
         return made
 
-    def __pow__(self, exponent: int) -> "WeylOperator":
-        if not isinstance(exponent, int) or exponent < 0:
+    def powers(self, n: int) -> list:
+        """[self^0, self^1, ..., self^n]: one compose per step from the previous entry."""
+        if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a nonnegative integer exponent")
-        result = WeylOperator.identity(self.basis)
-        for _ in range(exponent):
-            result = result.compose(self)
-        return result
+        walk = [WeylOperator.identity(self.basis)]
+        for _ in range(n):
+            walk.append(walk[-1].compose(self))
+        return walk
+
+    def __pow__(self, exponent: int) -> "WeylOperator":
+        return self.powers(exponent)[-1]
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         return self.compose(other) - other.compose(self)

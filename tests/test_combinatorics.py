@@ -5,6 +5,7 @@ import pytest
 from symtwistor.combinatorics import (
     a_table,
     a_table_from_power,
+    q_dq_entries,
     stirling,
     stirling_from_power,
     stirling_tilde,
@@ -28,8 +29,8 @@ def test_a_table_small_values():
 
 
 def test_a_table_against_operator_expansion():
-    for n in range(7):
-        assert a_table(n) == a_table_from_power(n)
+    for n, power in enumerate(build_xs().powers(6)):
+        assert a_table(n) == a_table_from_power(power, n)
 
 
 def test_a_table_rejects_negative():
@@ -54,9 +55,19 @@ def test_stirling_known_row():
 
 
 def test_stirling_against_normal_order():
-    for n in range(1, 8):
-        for m in range(1, n + 1):
-            assert stirling(n, m) == stirling_from_power(n, m)
+    qdq = WeylOperator.generator(BasisTag.XY, "q") * WeylOperator.generator(BasisTag.XY, "dq")
+    for n, power in enumerate(qdq.powers(7)[1:], 1):
+        for m in range(1, n + 2):
+            assert stirling(n, m) == stirling_from_power(power, n, m)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (2, 0), (0, 1)])
+def test_stirling_from_power_has_the_domain_of_stirling(n, m):
+    qdq = WeylOperator.generator(BasisTag.XY, "q") * WeylOperator.generator(BasisTag.XY, "dq")
+    with pytest.raises(ValueError):
+        stirling(n, m)
+    with pytest.raises(ValueError):
+        stirling_from_power(qdq**n, n, m)
 
 
 def test_stirling_out_of_range():
@@ -94,8 +105,8 @@ def test_stirling_tilde_support_and_binomial_slice():
 def test_stirling_tilde_collapse_matches_plain_expansion():
     # dropping the marker recovers the plain (q + dq)^n normal ordering,
     # keyed by (q power, dq power)
-    assert stirling_tilde_collapse(0) == {(0, 0): 1}
-    assert stirling_tilde_collapse(3) == {
+    assert stirling_tilde_collapse(stirling_tilde(0), 0) == {(0, 0): 1}
+    assert stirling_tilde_collapse(stirling_tilde(3), 3) == {
         (3, 0): 1,
         (2, 1): 3,
         (1, 0): 3,
@@ -106,7 +117,6 @@ def test_stirling_tilde_collapse_matches_plain_expansion():
     qdq = WeylOperator.generator(BasisTag.XY, "q") + WeylOperator.generator(
         BasisTag.XY, "dq"
     )
-    for n in range(7):
-        plain = qdq**n
+    for n, plain in enumerate(qdq.powers(6)):
         want = {(c, f): coeff.re.numerator for (_, _, c, _, _, f), coeff in plain.terms.items()}
-        assert stirling_tilde_collapse(n) == want
+        assert stirling_tilde_collapse(stirling_tilde(n), n) == want == q_dq_entries(plain)

@@ -308,10 +308,13 @@ def test_twistor_kernel_basis_parities():
 
 def test_exclusion_known_value():
     assert exclusion_formula(2, 0) == 1
-    assert verify_exclusion(2, 0) == 1
+    assert verify_exclusion(raising_chain(monogenic_plus(0).change_basis(XY), 2)[2], 2, 0) == 1
     # i^3 * -(3+2)(2)/2 = -i * -5 = 5i
+    chain = raising_chain(monogenic_plus(1).change_basis(XY), 4)
     assert exclusion_formula(3, 1) == G(0, 5)
-    assert verify_exclusion(3, 1) == G(0, 5)
+    assert verify_exclusion(chain[3], 3, 1) == G(0, 5)
+    with pytest.raises(ValueError):
+        verify_exclusion(chain[4], 3, 1)  # X_s^4, not X_s^3, of the degree-1 spinor
 
 
 # ---- ladder constants and peeling ----

@@ -9,7 +9,6 @@ without it. Operator faults are planted in the registry
 (`operators._BUILDERS`), the one place where checks read operators.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -53,7 +52,7 @@ def _wrap(monkeypatch, module, name, change):
 
 def _with_first(family, extra):
     first, *rest = family.basis
-    return dataclasses.replace(family, basis=(first + extra, *rest))
+    return family._replace(basis=(first + extra, *rest))
 
 
 def _recursion_adds_q_z_m(monkeypatch):
@@ -75,7 +74,7 @@ def _howe_doubles_a_layer(monkeypatch):
         if not comps:
             return comps
         last = comps[-1]
-        return comps[:-1] + [dataclasses.replace(last, monogenic=last.monogenic.scale(2))]
+        return comps[:-1] + [last._replace(monogenic=last.monogenic.scale(2))]
 
     _wrap(monkeypatch, ker, "howe_decompose", change)
 
@@ -220,6 +219,30 @@ def _run_one(check_id):
     checks = [c for c in verify_mod.all_checks() if c.id == check_id]
     (result,) = verify_mod.run_suite("faults", checks=checks).results
     return result
+
+
+def _counted(monkeypatch, name):
+    """A list that gets one entry per call of WeylOperator.<name> from here on."""
+    calls = []
+    genuine = getattr(WeylOperator, name)
+
+    def counted(self, other):
+        calls.append(name)
+        return genuine(self, other)
+
+    monkeypatch.setattr(WeylOperator, name, counted)
+    return calls
+
+
+def test_sweeps_walk_each_power_and_raising_chain_once(monkeypatch):
+    composes = _counted(monkeypatch, "compose")
+    assert verify_mod.run_suite("combinatorics").failed == 0
+    # 12 steps each of X_s^n, (q dq)^n and (q+dq)^n, one q*dq, and 3 to parse X_s if not yet built
+    assert len(composes) <= 40
+    applies = _counted(monkeypatch, "apply")
+    assert _run_one("exclusion.sweep").status == "pass"
+    # 8 raising steps for each of 5 degrees m, and one twistor apply per (n, m)
+    assert len(applies) <= 75
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,19 @@ def test_power():
         qdq**-1
 
 
+def test_powers_walks_every_power_up_to_n():
+    op = gen("x") + gen("q") + gen("dx") + gen("dq")
+    walk = op.powers(4)
+    assert len(walk) == 5
+    reference = WeylOperator.identity(XY)
+    for k, power in enumerate(walk):
+        assert power == reference == op**k
+        reference = op.compose(reference)  # multiplied on the other side than the walk
+    assert op.powers(0) == [WeylOperator.identity(XY)]
+    with pytest.raises(ValueError):
+        op.powers(-1)
+
+
 def test_basis_mismatch_rejected():
     x = gen("x")
     z = gen("z", ZZ)
