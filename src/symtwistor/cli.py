@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -337,15 +338,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            return code
+        else:
+            try:
+                print(text, flush=True)
+            except OSError:  # stdout refused it: fd 1 to devnull keeps the exit flush silent
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
+        return code
     except (ValueError, OSError) as exc:  # OperatorSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # a solver guard: the result failed its own check
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
-    return code
 
 
 if __name__ == "__main__":

@@ -103,9 +103,6 @@ class GaussianRational:
         return _make(d * a, -d * b, norm)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
-        if type(other) is int and other:  # the leading factors of the recursions
-            sign = 1 if other > 0 else -1
-            return _make(sign * self._a, sign * self._b, self._d * other * sign)
         return self * GaussianRational.coerce(other).inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":

@@ -561,7 +561,7 @@ def linear_combination(
         if not c.is_zero():
             spinors[0]._require_same_basis(s)
             for key, poly in s.terms.items():
-                parts.setdefault(key, []).append((c, 0, poly))
+                parts.setdefault(key, []).append((c, poly))
     return Spinor(spinors[0].basis, {key: QPoly.combination(ps) for key, ps in parts.items()})
 
 

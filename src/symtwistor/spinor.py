@@ -54,16 +54,16 @@ class QPoly:
         return QPoly([coeff]).shift(exponent)
 
     @staticmethod
-    def combination(parts: Iterable[Tuple[GaussianRational, int, "QPoly"]]) -> "QPoly":
-        """Sum of c * q^k * p over the (c, k, p) in parts, built once over one denominator."""
-        parts = [(c, k, p) for c, k, p in parts if p._re]
-        d = lcm(*(c._d * p._d for c, _, p in parts))
-        size = max((k + len(p._re) for _, k, p in parts), default=0)
+    def combination(parts: Iterable[Tuple[GaussianRational, "QPoly"]]) -> "QPoly":
+        """Sum of c * p over the (c, p) in parts, built once over one denominator."""
+        parts = [(c, p) for c, p in parts if p._re]
+        d = lcm(*(c._d * p._d for c, p in parts))
+        size = max((len(p._re) for _, p in parts), default=0)
         re, im = [0] * size, [0] * size
-        for c, k, p in parts:
+        for c, p in parts:
             f = d // (c._d * p._d)
             a, b = c._a * f, c._b * f
-            for j, x, y in zip(range(k, size), p._re, p._im):
+            for j, (x, y) in enumerate(zip(p._re, p._im)):
                 re[j] += x * a - y * b
                 im[j] += x * b + y * a
         return _canonical(re, im, d)
@@ -439,10 +439,10 @@ class Spinor:
         if target is self.basis:
             return self
         images = substitute(SUBSTITUTION[self.basis][0], self.terms)
-        parts: dict = {}  # target key -> [(scalar, 0, poly)]
+        parts: dict = {}  # target key -> [(scalar, poly)]
         for key, poly in self.terms.items():
             for target_key, scalar in images[key].items():
-                parts.setdefault(target_key, []).append((scalar, 0, poly))
+                parts.setdefault(target_key, []).append((scalar, poly))
         return Spinor(target, {key: QPoly.combination(ps) for key, ps in parts.items()})
 
     # ---- serialization ----

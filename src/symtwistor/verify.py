@@ -14,6 +14,9 @@ identity as one `_residual` row. `@_check` keeps a prose witness for
 `sl2.ds-xs` and `twistor-basis.displays`, whose witnesses tests pin, and
 wraps `_recursion_vs_linear(kinds, ms)`, which tests call with their own
 ranges, for `oracle.recursion-vs-linear`.
+
+Every display is an expression string in the `parsing` grammar; a spinor
+display names the operator p of e^{-q^2/2} * p and is read when its check runs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactnum import G, GaussianRational, I, MINUS_I
 from .weyl import BasisTag, WeylOperator
-from .spinor import EVEN, ODD, QPoly, Spinor
+from .spinor import ODD, QPoly, Spinor
 from .operators import named_operator, operator_names
 from . import combinatorics as comb_mod
 from . import kernels as ker
@@ -264,11 +267,24 @@ def _vacuum(shift: int = 0) -> Spinor:
     return Spinor.monomial(XY, 0, 0, QPoly.monomial(shift))
 
 
+def _display(text: str) -> Spinor:
+    """The spinor e^{-q^2/2} * p for the multiplication operator p that text parses to.
+
+    Displays are read from their terms, not through apply, which the checks test.
+    """
+    op = parse_operator(text)
+    rows: Dict[Tuple[int, int], dict] = {}
+    for (a, b, k, *derivatives), c in op.terms.items():
+        if any(derivatives):
+            raise ValueError(f"display {text!r} has a derivative term")
+        rows.setdefault((a, b), {})[k] = c
+    return Spinor(op.basis, {key: QPoly([row.get(k, 0) for k in range(max(row) + 1)])
+                             for key, row in rows.items()})
+
+
 def _xs_on_constants_rows():
-    yield ("X_s on the even constant", ker.raising_chain(_vacuum(), 1)[1],
-           Spinor(XY, {(1, 0): QPoly([0, I]), (0, 1): QPoly([0, -1])}))
-    yield ("X_s on the odd constant", ker.raising_chain(_vacuum(1), 1)[1],
-           Spinor(XY, {(1, 0): QPoly([0, 0, I]), (0, 1): QPoly([1, 0, -1])}))
+    for shift, name, want in ((0, "even", "i*q*x - q*y"), (1, "odd", "i*q^2*x + (1 - q^2)*y")):
+        yield f"X_s on the {name} constant", ker.raising_chain(_vacuum(shift), 1)[1], _display(want)
 
 
 _cases("displays.xs-on-constants",
@@ -276,29 +292,12 @@ _cases("displays.xs-on-constants",
        _xs_on_constants_rows)
 
 # first twistor component of X_s^n on the constant spinor q^shift, keyed (n, shift)
-_TS_ON_XS_POWERS: Dict[Tuple[int, int], Spinor] = {
-    (0, 0): Spinor.zero(XY),
-    (0, 1): Spinor.zero(XY),
-    (1, 0): Spinor.zero(XY),
-    (1, 1): Spinor.zero(XY),
-    (2, 0): Spinor(XY, {(1, 0): QPoly([0, 0, 1]), (0, 1): QPoly([I, G(0), I])}),
-    (2, 1): Spinor(XY, {(1, 0): QPoly([0, 0, 0, 1]), (0, 1): QPoly([0, 0, 0, I])}),
-    (3, 0): Spinor(
-        XY,
-        {
-            (2, 0): QPoly([0, 0, 0, G(0, 3)]),
-            (1, 1): QPoly([0, 0, 0, -6]),
-            (0, 2): QPoly([0, 0, 0, G(0, -3)]),
-        },
-    ),
-    (3, 1): Spinor(
-        XY,
-        {
-            (2, 0): QPoly([0, 0, 0, 0, G(0, 3)]),
-            (1, 1): QPoly([0, 0, 6, 0, -6]),
-            (0, 2): QPoly([G(0, 3), G(0), G(0, 6), G(0), G(0, -3)]),
-        },
-    ),
+_TS_ON_XS_POWERS = {
+    (0, 0): "0", (0, 1): "0", (1, 0): "0", (1, 1): "0",
+    (2, 0): "q^2*x + (i + i*q^2)*y",
+    (2, 1): "q^3*x + i*q^3*y",
+    (3, 0): "3*i*q^3*x^2 - 6*q^3*x*y - 3*i*q^3*y^2",
+    (3, 1): "3*i*q^4*x^2 + (6*q^2 - 6*q^4)*x*y + (3*i + 6*i*q^2 - 3*i*q^4)*y^2",
 }
 
 
@@ -306,7 +305,7 @@ def _ts_xs_powers_rows():
     ts = named_operator("ts")
     chains = {shift: ker.raising_chain(_vacuum(shift), 3) for shift in (0, 1)}
     for (n, shift), want in sorted(_TS_ON_XS_POWERS.items()):
-        yield f"n={n}, q-shift={shift}", ts.apply(chains[shift][n]), want
+        yield f"n={n}, q-shift={shift}", ts.apply(chains[shift][n]), _display(want)
 
 
 _cases("displays.ts-xs-powers",
@@ -347,59 +346,25 @@ _cases("monogenic-minus.family",
        "kernels", 5, _minus_family_rows)
 
 _MINUS_DISPLAYS_Z = {
-    1: Spinor(ZZ, {(1, 0): QPoly([0, -1, 0, Fraction(2, 3)]), (0, 1): QPoly([0, 1])}),
-    2: Spinor(
-        ZZ,
-        {
-            (2, 0): QPoly([0, 1, 0, Fraction(-4, 3), 0, Fraction(4, 15)]),
-            (1, 1): QPoly([0, -2, 0, Fraction(4, 3)]),
-            (0, 2): QPoly([0, 1]),
-        },
-    ),
-    3: Spinor(
-        ZZ,
-        {
-            (3, 0): QPoly([0, -1, 0, 2, 0, Fraction(-4, 5), 0, Fraction(8, 105)]),
-            (2, 1): QPoly([0, 3, 0, -4, 0, Fraction(4, 5)]),
-            (1, 2): QPoly([0, -3, 0, 2]),
-            (0, 3): QPoly([0, 1]),
-        },
-    ),
+    1: "(-q + 2/3*q^3)*z + q*zbar",
+    2: "(q - 4/3*q^3 + 4/15*q^5)*z^2 + (-2*q + 4/3*q^3)*z*zbar + q*zbar^2",
+    3: "(-q + 2*q^3 - 4/5*q^5 + 8/105*q^7)*z^3 + (3*q - 4*q^3 + 4/5*q^5)*z^2*zbar"
+       " + (-3*q + 2*q^3)*z*zbar^2 + q*zbar^3",
 }
 
 _MINUS_DISPLAYS_XY = {
-    1: Spinor(
-        XY,
-        {
-            (1, 0): QPoly([0, 0, 0, Fraction(2, 3)]),
-            (0, 1): QPoly([0, G(0, -2), 0, G(0, Fraction(2, 3))]),
-        },
-    ),
-    2: Spinor(
-        XY,
-        {
-            (2, 0): QPoly([0, 0, 0, 0, 0, Fraction(4, 15)]),
-            (1, 1): QPoly([0, 0, 0, G(0, Fraction(-8, 3)), 0, G(0, Fraction(8, 15))]),
-            (0, 2): QPoly([0, -4, 0, Fraction(8, 3), 0, Fraction(-4, 15)]),
-        },
-    ),
-    3: Spinor(
-        XY,
-        {
-            (3, 0): QPoly([0, 0, 0, 0, 0, 0, 0, Fraction(8, 105)]),
-            (2, 1): QPoly([0, 0, 0, 0, 0, G(0, Fraction(-8, 5)), 0, G(0, Fraction(8, 35))]),
-            (1, 2): QPoly([0, 0, 0, -8, 0, Fraction(16, 5), 0, Fraction(-8, 35)]),
-            (0, 3): QPoly([0, G(0, 8), 0, G(0, -8), 0, G(0, Fraction(8, 5)), 0, G(0, Fraction(-8, 105))]),
-        },
-    ),
+    1: "2/3*q^3*x + (-2*i*q + 2/3*i*q^3)*y",
+    2: "4/15*q^5*x^2 + (-8/3*i*q^3 + 8/15*i*q^5)*x*y + (-4*q + 8/3*q^3 - 4/15*q^5)*y^2",
+    3: "8/105*q^7*x^3 + (-8/5*i*q^5 + 8/35*i*q^7)*x^2*y + (-8*q^3 + 16/5*q^5 - 8/35*q^7)*x*y^2"
+       " + (8*i*q - 8*i*q^3 + 8/5*i*q^5 - 8/105*i*q^7)*y^3",
 }
 
 
 def _minus_displays_rows():
     for m in (1, 2, 3):
         s = ker.monogenic_minus(m)
-        yield f"m={m} (zzbar)", s, _MINUS_DISPLAYS_Z[m]
-        yield f"m={m} (xy)", s.change_basis(XY), _MINUS_DISPLAYS_XY[m]
+        yield f"m={m} (zzbar)", s, _display(_MINUS_DISPLAYS_Z[m])
+        yield f"m={m} (xy)", s.change_basis(XY), _display(_MINUS_DISPLAYS_XY[m])
 
 
 _cases("monogenic-minus.displays",
@@ -430,24 +395,10 @@ _cases("twistor-basis.annihilation",
 
 
 _TWISTOR_DISPLAYS_Z = {
-    1: Spinor(ZZ, {(1, 0): QPoly([-1, 0, 2]), (0, 1): QPoly([1])}),
-    2: Spinor(
-        ZZ,
-        {
-            (2, 0): QPoly([1, 0, -4, 0, Fraction(4, 3)]),
-            (1, 1): QPoly([-2, 0, 4]),
-            (0, 2): QPoly([1]),
-        },
-    ),
-    3: Spinor(
-        ZZ,
-        {
-            (3, 0): QPoly([-1, 0, 6, 0, -4, 0, Fraction(8, 15)]),
-            (2, 1): QPoly([3, 0, -12, 0, 4]),
-            (1, 2): QPoly([-3, 0, 6]),
-            (0, 3): QPoly([1]),
-        },
-    ),
+    1: "(-1 + 2*q^2)*z + zbar",
+    2: "(1 - 4*q^2 + 4/3*q^4)*z^2 + (-2 + 4*q^2)*z*zbar + zbar^2",
+    3: "(-1 + 6*q^2 - 4*q^4 + 8/15*q^6)*z^3 + (3 - 12*q^2 + 4*q^4)*z^2*zbar"
+       " + (-3 + 6*q^2)*z*zbar^2 + zbar^3",
 }
 
 
@@ -459,7 +410,8 @@ _TWISTOR_DISPLAYS_Z = {
 )
 def _twistor_basis_displays() -> Optional[str]:
     xs_z = named_operator("xs", ZZ)
-    for m, display in _TWISTOR_DISPLAYS_Z.items():
+    for m, text in _TWISTOR_DISPLAYS_Z.items():
+        display = _display(text)
         base = ker.monogenic_minus(m - 1)
         image = xs_z.apply(base)
         scalar = ker.ratio_at_leading(display, image)

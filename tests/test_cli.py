@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import symtwistor
 from symtwistor.cli import (
     MAX_APPLY_DEGREE,
     MAX_DECOMPOSE_HOMOGENEITY,
@@ -156,8 +160,7 @@ def test_twistor_display_without_leading_monomial_gives_witness(monkeypatch):
     # the check must report that, not raise KeyError and abort the report
     import symtwistor.verify as verify_mod
 
-    display = Spinor(ZZ, {(1, 0): QPoly([-1, 0, 2])})
-    monkeypatch.setitem(verify_mod._TWISTOR_DISPLAYS_Z, 1, display)
+    monkeypatch.setitem(verify_mod._TWISTOR_DISPLAYS_Z, 1, "(-1 + 2*q^2)*z")
     checks = [c for c in verify_mod.all_checks() if c.id == "twistor-basis.displays"]
     report = verify_mod.run_suite("kernels", checks=checks)
     assert [(r.status, r.witness) for r in report.results] == [
@@ -595,6 +598,31 @@ def test_output_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(target) in err
     assert not target.exists()
+
+
+def run_process(stdout, *argv):
+    """The CLI in a fresh interpreter with the given stdout; stderr is captured."""
+    src = str(Path(symtwistor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "symtwistor.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120, text=True)
+
+
+def test_closed_stdout_pipe_is_one_line_exit_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the pipe fails
+    try:
+        proc = run_process(write_end, "tables", "A", "3")
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_device_is_one_line_exit_2():
+    with open("/dev/full", "w") as full:
+        proc = run_process(full, "tables", "A", "3")
+    assert (proc.returncode, proc.stderr) == (2, "error: [Errno 28] No space left on device\n")
 
 
 def test_byte_identical_reruns(capsys):

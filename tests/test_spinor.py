@@ -315,7 +315,7 @@ def test_qpoly_operations_match_coefficientwise_reference(a, b, c, k):
     assert_matches(p.shift(k), [G(0)] * k + list(a) if not p.is_zero() else [])
     assert_matches(p.derivative(), [a[j] * j for j in range(1, len(a))])
     assert_matches(p.weighted_dq(), ref_dq(list(a)))
-    assert_matches(QPoly.combination([(c, k, p), (G(0, 1), 0, r)]),
+    assert_matches(QPoly.combination([(c, p.shift(k)), (G(0, 1), r)]),
                    ref_add([G(0)] * k + [x * c for x in a], [y * I for y in b]))
     assert [p.coefficient(j) for j in range(-1, len(a) + 2)] == [
         G(0), *(list(p.coeffs) + [G(0)] * (len(a) + 2 - len(p.coeffs)))

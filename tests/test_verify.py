@@ -11,9 +11,14 @@ without it. Operator faults are planted in the registry
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symtwistor
 import symtwistor.combinatorics as comb_mod
 import symtwistor.kernels as ker
 import symtwistor.operators as operators
@@ -39,6 +44,40 @@ def test_verify_all_report_is_pinned():
     }
     got = {fmt: hashlib.sha256(s.encode("utf-8")).hexdigest() for fmt, s in renderings.items()}
     assert got == ALL_REPORT_SHA256
+
+
+# Reports each call into spinor, exactnum or fractions made while verify's module body runs.
+_IMPORT_PROBE = """
+import os, sys
+watched = tuple(os.path.join(*parts) for parts in (
+    ("symtwistor", "spinor.py"), ("symtwistor", "exactnum.py"), ("fractions.py",)))
+body = os.path.join("symtwistor", "verify.py")
+made = []
+
+def probe(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.endswith(watched):
+        caller = frame.f_back
+        while caller is not None:
+            if caller.f_code.co_name == "<module>" and caller.f_code.co_filename.endswith(body):
+                made.append(frame.f_code.co_name)
+                break
+            caller = caller.f_back
+
+sys.setprofile(probe)
+import symtwistor
+sys.setprofile(None)
+print(made)
+"""
+
+
+def test_importing_the_package_builds_no_display_in_verify():
+    # displays are strings read when their checks run, so verify's module body builds
+    # no QPoly, Spinor, GaussianRational or Fraction
+    src = str(Path(symtwistor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # ---- the fault table ----
@@ -111,6 +150,10 @@ def _ts_plus_one(monkeypatch):
 
 def _ds_plus_one(monkeypatch):
     _plus(monkeypatch, "ds", 1)
+
+
+def _xs_plus_q(monkeypatch):
+    _plus(monkeypatch, "xs", _Q)
 
 
 def _rho_x_plus_q(monkeypatch):
@@ -193,6 +236,9 @@ FAULTS = [
     (_ds_plus_one, "howe.roundtrip"),
     (_ds_plus_one, "zbasis.ds2"),
     (_ds_plus_one, "random.twistor-in-ds2"),
+    (_xs_plus_q, "displays.xs-on-constants"),
+    (_xs_plus_q, "displays.ts-xs-powers"),
+    (_xs_plus_q, "twistor-basis.displays"),
     (_rho_x_plus_q, "cross.xs-rhoX"),
     (_rho_x_plus_q, "cross.ds-rhoX"),
     (_rho_x_plus_q, "casimir.expansion"),
@@ -219,6 +265,13 @@ def _run_one(check_id):
     checks = [c for c in verify_mod.all_checks() if c.id == check_id]
     (result,) = verify_mod.run_suite("faults", checks=checks).results
     return result
+
+
+def test_display_with_a_derivative_is_an_error(monkeypatch):
+    monkeypatch.setitem(verify_mod._TWISTOR_DISPLAYS_Z, 1, "zbar*dz")
+    result = _run_one("twistor-basis.displays")
+    assert (result.status, result.witness) == (
+        "error", "ValueError: display 'zbar*dz' has a derivative term")
 
 
 def _counted(monkeypatch, name):
