@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: verify, generate, apply, decompose, tables. Output is
-deterministic: identical invocations produce byte-identical text (all
-term orderings are lexicographic on exponent tuples).
+Subcommands: verify, generate, apply, decompose, tables. Each computes and
+checks its whole result, then returns its exit code and pieces that only
+render, which join to its output and final newline; `main` writes them. Output
+is deterministic: identical invocations produce byte-identical text (all term
+orderings are lexicographic on exponent tuples).
 
 Exit codes: 0 success / all checks pass, 1 verification failure
 (including an ArithmeticError raised by a solver guard), 2 usage, parse,
@@ -15,7 +17,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import __version__
 from .weyl import BasisTag
@@ -28,7 +31,7 @@ from .kernels import (
     monogenic_plus,
     twistor_kernel_basis,
 )
-from .verify import VerificationReport, run_suite, suite_names
+from .verify import run_suite, suite_names
 
 # Work limits on command-line input; a larger value exits 2 before any work.
 MAX_SPINOR_QDEGREE = 512  # the q-degree of an `apply` or `decompose` input
@@ -37,22 +40,7 @@ MAX_GENERATE_DEGREE = 100  # the m of `generate`
 MAX_DECOMPOSE_HOMOGENEITY = 24  # the top position degree of a `decompose` input
 MAX_APPLY_DEGREE = 100  # the top position degree of an `apply` input
 
-_LATEX_SPECIALS = {
-    "\\": r"\textbackslash{}",
-    "&": r"\&",
-    "%": r"\%",
-    "$": r"\$",
-    "#": r"\#",
-    "_": r"\_",
-    "{": r"\{",
-    "}": r"\}",
-    "~": r"\textasciitilde{}",
-    "^": r"\textasciicircum{}",
-}
-
-
-def _latex_escape(text: str) -> str:
-    return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
+_set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)  # 3.10.7 on
 
 
 def _require_at_most(name: str, value: int, limit: int) -> None:
@@ -64,8 +52,15 @@ def _top_degree(spinor: Spinor) -> int:
     return max((e1 + e2 for e1, e2 in spinor.terms), default=0)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2)
+def _json_pieces(obj) -> Iterator[str]:
+    chunks = json.JSONEncoder(indent=2).iterencode(obj)
+    while batch := "".join(islice(chunks, 4096)):  # tiny chunks; a write can be a system call
+        yield batch
+    yield "\n"
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    return chain.from_iterable((line, "\n") for line in lines)  # a long line is not copied
 
 
 def _load_spinor(path: str) -> Spinor:
@@ -82,47 +77,29 @@ def _load_spinor(path: str) -> Spinor:
     return spinor
 
 
-def _render_spinors(spinors: List[Spinor], fmt: str) -> str:
+def _render_spinors(spinors: List[Spinor], fmt: str) -> Iterable[str]:
     if fmt == "json":
-        if len(spinors) == 1:
-            return _dump_json(spinors[0].to_json())
-        return _dump_json([s.to_json() for s in spinors])
-    if fmt == "latex":
-        return "\n".join(s.to_latex() for s in spinors)
-    return "\n".join(str(s) for s in spinors)
+        trees = [s.to_json() for s in spinors]
+        return _json_pieces(trees[0] if len(trees) == 1 else trees)
+    render = Spinor.to_latex if fmt == "latex" else Spinor.__str__
+    return _lines(render(spinors.pop(0)) for _ in range(len(spinors)))  # each freed once rendered
 
 
 # ---- verify ----
 
 
-def _render_report_latex(report: VerificationReport) -> str:
-    lines = [r"\begin{tabular}{llp{9cm}}", r"id & status & statement \\", r"\hline"]
-    for r in report.results:
-        cell = _latex_escape(r.anchor)
-        if r.witness:
-            cell += r" \newline witness: " + _latex_escape(r.witness)
-        lines.append(
-            f"{_latex_escape(r.id)} & {r.status} & {cell} \\\\"
-        )
-    lines.append(r"\end{tabular}")
-    return "\n".join(lines)
-
-
-def _cmd_verify(args) -> Tuple[int, str]:
+def _cmd_verify(args) -> Tuple[int, Iterable[str]]:
     report = run_suite(args.suite)
     if args.format == "json":
-        text = _dump_json(report.to_json())
-    elif args.format == "latex":
-        text = _render_report_latex(report)
-    else:
-        text = report.render_text()
-    return report.exit_code, text
+        return report.exit_code, _json_pieces(report.to_json())
+    render = report.render_latex if args.format == "latex" else report.render_text
+    return report.exit_code, _lines([render()])
 
 
 # ---- generate ----
 
 
-def _cmd_generate(args) -> Tuple[int, str]:
+def _cmd_generate(args) -> Tuple[int, Iterable[str]]:
     if args.m < 0:
         raise ValueError("m must be nonnegative")
     _require_at_most("m", args.m, MAX_GENERATE_DEGREE)
@@ -140,7 +117,7 @@ def _cmd_generate(args) -> Tuple[int, str]:
 # ---- apply ----
 
 
-def _cmd_apply(args) -> Tuple[int, str]:
+def _cmd_apply(args) -> Tuple[int, Iterable[str]]:
     spinor = _load_spinor(args.spinor_file)
     _require_at_most("position degree", _top_degree(spinor), MAX_APPLY_DEGREE)
     target = BasisTag.parse(args.basis) if args.basis else spinor.basis
@@ -160,7 +137,7 @@ def _homogeneous_parts(spinor: Spinor) -> List[Spinor]:
     return [Spinor(spinor.basis, grouped[l]) for l in sorted(grouped)]
 
 
-def _cmd_decompose(args) -> Tuple[int, str]:
+def _cmd_decompose(args) -> Tuple[int, Iterable[str]]:
     spinor = _load_spinor(args.spinor_file)
     _require_at_most("homogeneity", _top_degree(spinor), MAX_DECOMPOSE_HOMOGENEITY)
     if args.basis:
@@ -181,32 +158,32 @@ def _cmd_decompose(args) -> Tuple[int, str]:
             ],
             "reconstruction_exact": True,
         }
-        return 0, _dump_json(payload)
-    lines = []
+        return 0, _json_pieces(payload)
+    return 0, _component_pieces(components, args.format == "latex")
+
+
+def _component_pieces(components, latex: bool) -> Iterator[str]:
+    head = "% homogeneity {}, power {}\n" if latex else "l={} j={}: "
     for c in components:
-        if args.format == "latex":
-            lines.append(f"% homogeneity {c.homogeneity}, power {c.power}")
-            lines.append(c.monogenic.to_latex())
-        else:
-            lines.append(f"l={c.homogeneity} j={c.power}: {c.monogenic}")
-    suffix = "%" if args.format == "latex" else ""
-    lines.append(f"{suffix}components: {len(components)}, reconstruction: exact")
-    return 0, "\n".join(lines)
+        yield head.format(c.homogeneity, c.power)
+        yield c.monogenic.to_latex() if latex else str(c.monogenic)
+        yield "\n"
+    yield f"{'%' if latex else ''}components: {len(components)}, reconstruction: exact\n"
 
 
 # ---- tables ----
 
 
-def _grid_latex(rows: List[List[str]], ncols: int) -> str:
+def _grid_latex(rows: List[List[str]], ncols: int) -> List[str]:
     lines = [r"\begin{array}{" + "r" * ncols + "}"]
     for row in rows:
         padded = row + [""] * (ncols - len(row))
         lines.append(" & ".join(padded) + r" \\")
     lines.append(r"\end{array}")
-    return "\n".join(lines)
+    return lines
 
 
-def _cmd_tables(args) -> Tuple[int, str]:
+def _cmd_tables(args) -> Tuple[int, Iterable[str]]:
     if args.n < 0:
         raise ValueError("n must be nonnegative")
     _require_at_most("n", args.n, MAX_TABLE_ORDER)
@@ -219,31 +196,31 @@ def _cmd_tables(args) -> Tuple[int, str]:
         body = {"rows": [{"j": j, "entries": row} for j, row in enumerate(rows)]}
         cells = [[str(v) for v in row] for row in rows]
         width = max(len(cell) for row in cells for cell in row)
-        text = "\n".join(
+        text = [
             f"j={j}: " + " ".join(cell.rjust(width) for cell in row) for j, row in enumerate(cells)
-        )
+        ]
         latex = _grid_latex(cells, n + 1)
     elif args.which == "stirling":
         flat = [comb_mod.stirling(n, m) for m in range(1, n + 1)]
         body = {"entries": flat}
-        text = f"s({n}, m) for m = 1..{n}: " + " ".join(str(v) for v in flat)
+        text = [f"s({n}, m) for m = 1..{n}: " + " ".join(str(v) for v in flat)]
         latex = _grid_latex([[str(v) for v in flat]], max(n, 1))
     else:
         table = comb_mod.stirling_tilde(n)
         keys = sorted(table)
         flat = [table[key] for key in keys]
         body = {"entries": [{"i": i, "r": r, "value": table[(i, r)]} for i, r in keys]}
-        text = "\n".join(f"i={i} r={r}: {table[(i, r)]}" for i, r in keys)
+        text = [f"i={i} r={r}: {table[(i, r)]}" for i, r in keys]
         max_r = max(r for _, r in keys)
         grid = [[str(table.get((i, r), "")) for r in range(max_r + 1)] for i in range(n + 1)]
         latex = _grid_latex(grid, max_r + 1)
     if args.flat:
         body = {"flat": flat}
-        text = ",".join(str(v) for v in flat)
-        latex = "$" + ", ".join(str(v) for v in flat) + "$"
+        text = [",".join(str(v) for v in flat)]
+        latex = ["$" + ", ".join(str(v) for v in flat) + "$"]
     if args.format == "json":
-        return 0, _dump_json({"which": args.which, "n": n, **body})
-    return 0, latex if args.format == "latex" else text
+        return 0, _json_pieces({"which": args.which, "n": n, **body})
+    return 0, _lines(latex if args.format == "latex" else text)
 
 
 # ---- argument wiring ----
@@ -333,14 +310,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
-        code, text = args.fn(args)
+        code, pieces = args.fn(args)
+        _set_int_digits(0)  # input keeps the guard; an exact output number may have any length
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.writelines(pieces)
         else:
             try:
-                print(text, flush=True)
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
             except OSError:  # stdout refused it: fd 1 to devnull keeps the exit flush silent
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
@@ -353,6 +333,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArithmeticError as exc:  # a solver guard: the result failed its own check
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _set_int_digits(digits)
 
 
 if __name__ == "__main__":

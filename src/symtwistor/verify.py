@@ -39,6 +39,19 @@ REPORT_SCHEMA_VERSION = 1
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
 
+_LATEX_ESCAPES = str.maketrans({
+    "\\": r"\textbackslash{}",
+    "&": r"\&",
+    "%": r"\%",
+    "$": r"\$",
+    "#": r"\#",
+    "_": r"\_",
+    "{": r"\{",
+    "}": r"\}",
+    "~": r"\textasciitilde{}",
+    "^": r"\textasciicircum{}",
+})
+
 
 @dataclass(frozen=True)
 class Check:
@@ -91,6 +104,16 @@ class VerificationReport(NamedTuple):
         lines.append(
             f"suite {self.suite}: {self.passed} passed, {self.failed} failed"
         )
+        return "\n".join(lines)
+
+    def render_latex(self) -> str:
+        lines = [r"\begin{tabular}{llp{9cm}}", r"id & status & statement \\", r"\hline"]
+        for r in self.results:
+            cell = r.anchor.translate(_LATEX_ESCAPES)
+            if r.witness:
+                cell += r" \newline witness: " + r.witness.translate(_LATEX_ESCAPES)
+            lines.append(f"{r.id.translate(_LATEX_ESCAPES)} & {r.status} & {cell} \\\\")
+        lines.append(r"\end{tabular}")
         return "\n".join(lines)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -435,10 +436,13 @@ def test_solver_guard_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "howe_decompose", failing_guard)
     path = write_spinor(tmp_path, Spinor.monomial(XY, 1, 0, QPoly([1])))
-    code, out, err = run(capsys, "decompose", path)
-    assert code == 1
-    assert out == ""
-    assert err == "error: decomposition failed to reconstruct the input\n"
+    target = tmp_path / "out.txt"
+    for output in ([], ["--output", str(target)]):
+        code, out, err = run(capsys, "decompose", path, *output)
+        assert code == 1
+        assert out == ""
+        assert err == "error: decomposition failed to reconstruct the input\n"
+    assert not target.exists()  # a command writes only after it has succeeded
 
 
 # ---- tables ----
@@ -490,6 +494,13 @@ def test_table_and_generate_limits_exit_2_before_any_work(capsys, argv, name, li
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {name} must be at most {limit}\n"
+
+
+def test_limit_refusal_creates_no_output_file(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "tables", "A", str(MAX_TABLE_ORDER + 1), "--output", str(target))
+    assert (code, out, err) == (2, "", f"error: n must be at most {MAX_TABLE_ORDER}\n")
+    assert not target.exists()
 
 
 def test_apply_exponent_limit(tmp_path, capsys):
@@ -598,6 +609,61 @@ def test_output_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(target) in err
     assert not target.exists()
+
+
+class RecordingOutput(io.StringIO):
+    """A text stream that keeps each write as it was made."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_large_output_is_written_in_pieces(tmp_path, monkeypatch, to_file):
+    import symtwistor.cli as cli_mod
+
+    recorder = RecordingOutput()
+    if to_file:
+        recorder.close = lambda: None  # the command closes its file; keep the record readable
+        monkeypatch.setattr(cli_mod, "open", lambda *args, **kwargs: recorder, raising=False)
+        argv = ["--output", str(tmp_path / "out.json")]
+    else:
+        monkeypatch.setattr(sys, "stdout", recorder)
+        argv = []
+    assert main(["generate", "monogenic-", "100", "--format", "json", *argv]) == 0
+    want = json.dumps(monogenic_minus(100).change_basis(ZZ).to_json(), indent=2) + "\n"
+    assert len(want) > 1_000_000
+    assert "".join(recorder.writes) == want
+    assert max(len(text) for text in recorder.writes) <= len(want) // 10
+
+
+BIG = 10**4300 - 1  # 4,300 digits: the most an input number may have
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_output_number_may_exceed_the_input_digit_limit(tmp_path, capsys, fmt):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([BIG])))
+    code, out, err = run(capsys, "apply", "10", path, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert "9" * 4300 + "0" in out  # 10 * BIG, 4,301 digits
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_input_number_past_the_digit_limit_is_one_line_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"basis": "xy", "terms": [{"e1": 0, "e2": 0, "q": [[' + "9" * 4301 + ", 1, 0, 1]]}]}")
+    code, out, err = run(capsys, "apply", "10", str(path))
+    if hasattr(sys, "get_int_max_str_digits"):  # Python 3.10.7 on limits input numbers
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+    else:
+        assert code == 0
 
 
 def run_process(stdout, *argv):

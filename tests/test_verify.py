@@ -23,7 +23,6 @@ import symtwistor.combinatorics as comb_mod
 import symtwistor.kernels as ker
 import symtwistor.operators as operators
 import symtwistor.verify as verify_mod
-from symtwistor.cli import _render_report_latex
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisTag, WeylOperator
 
@@ -40,7 +39,7 @@ def test_verify_all_report_is_pinned():
     renderings = {
         "text": report.render_text(),
         "json": json.dumps(report.to_json(), indent=2),
-        "latex": _render_report_latex(report),
+        "latex": report.render_latex(),
     }
     got = {fmt: hashlib.sha256(s.encode("utf-8")).hexdigest() for fmt, s in renderings.items()}
     assert got == ALL_REPORT_SHA256
