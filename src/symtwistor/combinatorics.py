@@ -14,7 +14,7 @@ caller builds, so a sweep over n walks one WeylOperator.powers sequence.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 from typing import Dict, Tuple
 
 from .exactnum import GaussianRational, I
@@ -95,9 +95,9 @@ def q_dq_entries(power: WeylOperator) -> Dict[TableKey, int]:
 
 
 def _integer(value: GaussianRational, key) -> int:
-    if value.im != 0 or value.re.denominator != 1:
+    if value._b or value._d != 1:  # the reduced triple (a + b*i)/d
         raise AssertionError(f"non-integer table entry {value} at {key}")
-    return value.re.numerator
+    return value._a
 
 
 # ---- (q + dq)^n with a central commutator marker ----
@@ -109,8 +109,6 @@ def _qt_mul(t1: Tuple[int, int, int], t2: Tuple[int, int, int]) -> Dict[Tuple[in
     Moving dq^d1 past q^a2 emits one central qt per contraction:
     dq^d q^a = sum_j C(d,j) C(a,j) j! q^(a-j) dq^(d-j) qt^j.
     """
-    from math import factorial
-
     a1, d1, r1 = t1
     a2, d2, r2 = t2
     out = {}

@@ -5,22 +5,31 @@ integer triple (a, b, d) standing for (a + b*i)/d, with d > 0 and
 gcd(a, b, d) == 1. This is the layout of FLINT's fmpq, with one
 denominator shared by both parts. The reduced form is unique, so
 equality and hashing are structural and exact, and sums and products in
-Z[i] (d == 1) never call gcd. The real and imaginary parts are read as
-fractions.Fraction through .re and .im. No floats anywhere.
+Z[i] (d == 1) never call gcd. No floats anywhere. Only this module knows
+fractions.Fraction: it is accepted as input, and .re and .im hand the parts
+out as Fractions, importing fractions when one is first read.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
-from typing import Callable, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-_RationalLike = Union[int, Fraction]
-ScalarLike = Union[int, Fraction, "GaussianRational"]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+_RationalLike = Union[int, "Fraction"]
+ScalarLike = Union[int, "Fraction", "GaussianRational"]
+
+
+def _is_fraction(value) -> bool:
+    """A Fraction exists only once fractions is loaded, so its type is looked up, not imported."""
+    return isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ()))
 
 
 def _parts(value: _RationalLike) -> tuple[int, int]:
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int) or _is_fraction(value):
         return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
@@ -50,10 +59,12 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     # ---- ring operations ----
@@ -133,7 +144,7 @@ class GaussianRational:
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
             return self._a == other._a and self._b == other._b and self._d == other._d
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             # with b == 0 the triple is a/d in lowest terms
             return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
@@ -147,9 +158,9 @@ class GaussianRational:
     # ---- serialization / rendering ----
 
     def to_list(self) -> list[int]:
-        """[re_num, re_den, im_num, im_den]"""
-        re, im = self.re, self.im
-        return [re.numerator, re.denominator, im.numerator, im.denominator]
+        """[re_num, re_den, im_num, im_den], each part in lowest terms"""
+        g, h = gcd(self._a, self._d), gcd(self._b, self._d)
+        return [self._a // g, self._d // g, self._b // h, self._d // h]
 
     @staticmethod
     def from_list(data) -> "GaussianRational":
@@ -161,18 +172,20 @@ class GaussianRational:
             raise ValueError(
                 "GaussianRational JSON form must be [re_num, re_den, im_num, im_den] with ints"
             )
-        if data[1] == 0 or data[3] == 0:
+        p, q, r, s = data
+        if q == 0 or s == 0:
             raise ValueError("GaussianRational denominator must be nonzero")
-        return GaussianRational(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
+        sign = -1 if q * s < 0 else 1  # p/q + (r/s) i = (p*s + r*q i)/(q*s)
+        return _make(sign * p * s, sign * r * q, sign * q * s)
 
     def _render(self, style: _Style) -> str:
-        re, im = self.re, self.im
-        if not im:
-            return style.number(re)
-        unit = "i" if abs(im) == 1 else f"{style.number(abs(im))}{style.unit}i"
-        if not re:
-            return unit if im > 0 else f"-{unit}"
-        return f"{style.number(re)}{style.gap}{'+' if im > 0 else '-'}{style.gap}{unit}"
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _write_rational(style, a, d)
+        unit = "i" if abs(b) == d else f"{_write_rational(style, abs(b), d)}{style.unit}i"
+        if not a:
+            return unit if b > 0 else f"-{unit}"
+        return f"{_write_rational(style, a, d)}{style.gap}{'+' if b > 0 else '-'}{style.gap}{unit}"
 
     def __str__(self) -> str:
         return self._render(_TEXT)
@@ -215,19 +228,12 @@ def _sub_mul(x: GaussianRational, f: GaussianRational, v: GaussianRational) -> G
     return _make(x._a * d - re * g, x._b * d - im * g, g * d)
 
 
-def _frac_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
-
 # ---- rendering: every output format is one row of this table ----
 
 class _Style(NamedTuple):
     """How one output format writes numbers, products, brackets and the weight."""
 
-    number: Callable[[Fraction], str]  # a rational
+    fraction: str  # a rational that is not an integer, formatted with (|numerator|, denominator)
     unit: str  # between a rational and i
     gap: str  # on both sides of the sign before an imaginary part
     times: str  # between factors
@@ -237,9 +243,16 @@ class _Style(NamedTuple):
     weight: str  # e^{-q^2/2} before a spinor
 
 
-_TEXT = _Style(str, "", "", "*", "{}^{}", "(", ")", "exp(-q^2/2) * ")  # 2i
+_TEXT = _Style("{}/{}", "", "", "*", "{}^{}", "(", ")", "exp(-q^2/2) * ")  # 2i
 _EXPR = _TEXT._replace(unit="*")  # 2*i, so operator text reparses
-_LATEX = _Style(_frac_latex, " ", " ", " ", "{}^{{{}}}", "\\left(", "\\right)", "e^{-q^2/2}")
+_LATEX = _Style("\\frac{{{}}}{{{}}}", " ", " ", " ", "{}^{{{}}}", "\\left(", "\\right)", "e^{-q^2/2}")
+
+
+def _write_rational(style: _Style, n: int, d: int) -> str:
+    """n/d for d > 0, in lowest terms; the sign stands before a fraction."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{'-' if n < 0 else ''}{style.fraction.format(abs(n), d)}"
 
 
 def _write_product(style: _Style, names, exponents) -> str:

@@ -21,12 +21,11 @@ algebra over Q(i) on the coefficient space, no recursion involved.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactnum import ZERO, GaussianRational, G, _sub_mul
+from .exactnum import ZERO, GaussianRational, G, _make, _sub_mul
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
 from .operators import _get_or_build, named_operator
@@ -301,7 +300,7 @@ def verify_exclusion(raised: Spinor, n: int, m: int) -> GaussianRational:
 
 def exclusion_formula(n: int, m: int) -> GaussianRational:
     """-i^n (n+2m)(n-1)/2, the closed form the sweep is checked against."""
-    return G(0, 1) ** n * Fraction(-(n + 2 * m) * (n - 1), 2)
+    return G(0, 1) ** n * _make(-(n + 2 * m) * (n - 1), 0, 2)
 
 
 def verify_minus_exclusion(m: int) -> GaussianRational:
@@ -346,10 +345,9 @@ def ladder_constant(monogenic_homogeneity: int, j: int) -> GaussianRational:
     """Scalar with D_s X_s^j m = ladder_constant * X_s^(j-1) m for monogenic m.
 
     With [D_s, X_s] = c (E+1) and lambda = homogeneity + 1 the (E+1)-eigenvalue
-    of m, it is c * j * (lambda + (j-1)/2).
+    of m, it is c * j * (lambda + (j-1)/2) = c * j * (2*homogeneity + j + 1)/2.
     """
-    lam = Fraction(monogenic_homogeneity + 1)
-    return _ladder_scale() * (Fraction(j) * (lam + Fraction(j - 1, 2)))
+    return _ladder_scale() * _make(j * (2 * monogenic_homogeneity + j + 1), 0, 2)
 
 
 def raising_chain(s: Spinor, n: int) -> List[Spinor]:

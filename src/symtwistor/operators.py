@@ -85,19 +85,19 @@ _BUILDERS = {
 }
 
 
-# Values derived from registry operators: the operators here, and kernels' ladder
-# scale. Keys hold the builder objects, so rebinding any entry of _BUILDERS (a test
-# double, a tracer) rebuilds every value made from it, composites included.
+# Values derived from registry operators (the operators here, and kernels' ladder scale):
+# (name, basis) -> (the _BUILDERS values it was made under, value). Rebinding any entry
+# (a test double, a tracer) rebuilds and replaces every value made from it, composites too.
 _BUILT: dict = {}
 
 
 def _get_or_build(name: str, basis: BasisTag, build):
     """The value cached for name in basis under the current builders, made by build()."""
-    key = (name, basis, *_BUILDERS.values())
-    value = _BUILT.get(key)
-    if value is None:
-        value = _BUILT[key] = build()
-    return value
+    builders = tuple(_BUILDERS.values())
+    entry = _BUILT.get((name, basis))
+    if entry is None or entry[0] != builders:
+        entry = _BUILT[name, basis] = (builders, build())
+    return entry[1]
 
 
 def operator_names() -> list[str]:

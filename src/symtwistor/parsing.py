@@ -30,10 +30,9 @@ generator of the other basis is a syntax error where it is reached.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, _make
 from .weyl import GENERATOR_NAMES, BasisTag, WeylOperator
 
 
@@ -178,20 +177,19 @@ class _Parser:
             raise OperatorSyntaxError("unexpected end of expression", len(self.text))
         if tok.kind == "int":
             self.advance()
-            value = Fraction(int(tok.text))
+            value = int(tok.text)
             nxt = self.peek()
             if nxt is not None and nxt.kind == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok is None or den_tok.kind != "int":
                     at = den_tok.position if den_tok else len(self.text)
-                    raise OperatorSyntaxError(
-                        "'/' is only allowed between integer literals", at
-                    )
+                    raise OperatorSyntaxError("'/' is only allowed between integer literals", at)
                 self.advance()
-                if int(den_tok.text) == 0:
+                den = int(den_tok.text)
+                if den == 0:
                     raise OperatorSyntaxError("zero denominator", den_tok.position)
-                value = Fraction(int(tok.text), int(den_tok.text))
+                value = _make(value, 0, den)  # value/den, reduced
             return WeylOperator.scalar(self.basis, value)
         if tok.kind == "ident":
             self.advance()

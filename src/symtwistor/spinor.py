@@ -353,9 +353,7 @@ class Spinor:
 
     @staticmethod
     def monomial(basis: BasisTag, e1: int, e2: int, qpoly: QPoly | Sequence[ScalarLike]) -> "Spinor":
-        if not isinstance(qpoly, QPoly):
-            qpoly = QPoly(qpoly)
-        return Spinor(basis, {(e1, e2): qpoly})
+        return Spinor(basis, {(e1, e2): qpoly})  # the constructor makes a QPoly of a sequence
 
     # ---- linear structure ----
 
@@ -396,13 +394,9 @@ class Spinor:
 
     def parity(self) -> str:
         parities = {p.parity() for p in self.terms.values()}
-        if not parities:
+        if parities <= {EVEN}:  # the zero spinor is even
             return EVEN
-        if parities == {EVEN}:
-            return EVEN
-        if parities == {ODD}:
-            return ODD
-        return MIXED
+        return ODD if parities == {ODD} else MIXED
 
     def q_degree(self) -> Optional[int]:
         if self.is_zero():

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, prod
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from .exactnum import G, GaussianRational, I, MINUS_I
+from .exactnum import GaussianRational, I, MINUS_I, _make
 from .weyl import BasisTag, WeylOperator
 from .spinor import ODD, QPoly, Spinor
 from .operators import named_operator, operator_names
@@ -247,7 +246,7 @@ def _casimir_scalar_rows():
             chain = ker.raising_chain(make(l), 4 - l)
             c0 = ker.scalar_action(cas_z, chain[0])
             yield f"{tag} l={l}, acts by a scalar", c0 is not None, True
-            yield f"{tag} l={l}, scalar (2l+1)^2/4", c0, G(Fraction((2 * l + 1) ** 2, 4))
+            yield f"{tag} l={l}, scalar (2l+1)^2/4", c0, _make((2 * l + 1) ** 2, 0, 4)
             for j in range(1, 5 - l):
                 yield f"{tag} l={l}, j={j}, scalar", ker.scalar_action(cas_z, chain[j]), c0
 
@@ -351,7 +350,7 @@ _cases("exclusion.sweep",
 _cases("minus-exclusion.values",
        "q^3 zbar^(m-1) coefficient of the twisted odd element is 2m/3 for m <= 6, zero case at m = 0",
        "kernels", None,
-       lambda: ((f"m={m}", ker.verify_minus_exclusion(m), Fraction(2 * m, 3)) for m in range(7)))
+       lambda: ((f"m={m}", ker.verify_minus_exclusion(m), _make(2 * m, 0, 3)) for m in range(7)))
 
 
 def _minus_family_rows():
@@ -361,7 +360,7 @@ def _minus_family_rows():
         yield f"m={m}, D_s image", ds_z.apply(s), Spinor.zero(ZZ)
         yield f"m={m}, q-degree", s.q_degree(), 2 * m + 1
         yield (f"m={m}, top coefficient", s.terms[(m, 0)].coefficient(2 * m + 1),
-               Fraction(2**m, prod(range(1, 2 * m + 2, 2))))
+               _make(2**m, 0, prod(range(1, 2 * m + 2, 2))))
 
 
 _cases("monogenic-minus.family",
@@ -455,14 +454,14 @@ def _twistor_basis_displays() -> Optional[str]:
 _RANDOM_SEED = 20260817
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    num = rng.randint(-9, 9)
-    den = rng.randint(1, 9)
-    return Fraction(num, den)
+def _random_rational(rng: random.Random) -> GaussianRational:
+    return _make(rng.randint(-9, 9), 0, rng.randint(1, 9))
 
 
 def _random_gaussian(rng: random.Random) -> GaussianRational:
-    return G(_random_fraction(rng), _random_fraction(rng))
+    """a/d + (b/f) i, drawn in the order of two _random_rational draws."""
+    a, d, b, f = rng.randint(-9, 9), rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)
+    return _make(a * f, b * d, d * f)
 
 
 def _random_ds_odd_rows():
@@ -470,7 +469,7 @@ def _random_ds_odd_rows():
     xs_z, ts_z = named_operator("xs", ZZ), named_operator("ts", ZZ)
     for trial in range(50):
         m = rng.randint(0, 5)
-        seed = QPoly([_random_fraction(rng) if k % 2 == 0 else 0 for k in range(7)])
+        seed = QPoly([_random_rational(rng) if k % 2 == 0 else 0 for k in range(7)])
         family = ker.solve_recursion(ker.RecursionKind.DS_ODD, m, seed, 2 * m + 6)
         yield f"trial {trial}, free parameters", family.free_parameters, ()
         # a zero seed gives no element

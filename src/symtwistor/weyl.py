@@ -22,13 +22,12 @@ derivatives, q and Dq fixed, so images need no reordering.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from typing import Mapping, Tuple
 
 from .exactnum import _EXPR, _LATEX, I, ONE, ZERO, GaussianRational, ScalarLike, _Style
-from .exactnum import _write_product, _write_sum
+from .exactnum import _make, _write_product, _write_sum
 
 Monomial = Tuple[int, int, int, int, int, int]  # (p1, p2, q, d1, d2, dq)
 
@@ -129,7 +128,7 @@ class WeylOperator:
             )
 
     def __add__(self, other) -> "WeylOperator":
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, WeylOperator):
             other = WeylOperator.scalar(self.basis, other)
         self._require_same_basis(other)
         terms = dict(self.terms)
@@ -141,7 +140,7 @@ class WeylOperator:
     __radd__ = __add__
 
     def __sub__(self, other) -> "WeylOperator":
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, WeylOperator):
             other = WeylOperator.scalar(self.basis, other)
         return self + (-other)
 
@@ -286,7 +285,7 @@ class WeylOperator:
 # source basis -> (images of its positions, images of its derivatives) in the other
 # basis; the image (u, v) of a generator is u*T1 + v*T2 in the target positions or
 # derivatives (T1, T2). So x = (z + zbar)/2, dx = dz + dzbar, z = x + i*y, ...
-_HALF = GaussianRational(Fraction(1, 2))
+_HALF = _make(1, 0, 2)
 SUBSTITUTION = {
     BasisTag.XY: (((_HALF, _HALF), (-I * _HALF, I * _HALF)), ((ONE, ONE), (I, -I))),
     BasisTag.ZZBAR: (((ONE, I), (ONE, -I)), ((_HALF, -I * _HALF), (_HALF, I * _HALF))),

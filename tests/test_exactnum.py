@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import symtwistor
 from symtwistor.exactnum import G, GaussianRational, I, MINUS_I, ONE, ZERO, _sub_mul
 
 
@@ -22,6 +27,25 @@ def test_construction_coerces_ints_and_fractions():
     assert GaussianRational.coerce(5) == G(5)
     assert GaussianRational.coerce(Fraction(3, 4)) == G(Fraction(3, 4))
     assert GaussianRational.coerce(g) is g
+
+
+def test_construction_accepts_exactly_int_bool_and_fraction():
+    assert G(True) == 1 and G(False, True) == I
+    assert type(G(True)._a) is int
+    for bad in (1.5, None, "1", complex(1, 0)):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            G(bad)
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # pytest itself imports decimal, so the import is watched in a fresh process
+    src = str(Path(symtwistor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, symtwistor.cli; "
+             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_immutable():

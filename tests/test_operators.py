@@ -158,6 +158,22 @@ def test_rebound_registry_entry_is_built_on_the_next_lookup(monkeypatch):
     assert named_operator("xs", ZZ) == build_xs().change_basis(ZZ)
 
 
+def test_rebinding_a_builder_replaces_the_values_cached_under_the_old_one(monkeypatch):
+    from symtwistor import kernels, operators
+
+    monkeypatch.setattr(operators, "_BUILT", {})
+    sizes = []
+    for _ in range(3):
+        genuine = operators._BUILDERS["xs"]
+        monkeypatch.setitem(operators._BUILDERS, "xs", lambda genuine=genuine: genuine())
+        named_operator("xs")
+        named_operator("ds")
+        kernels.ladder_constant(0, 1)
+        sizes.append(len(operators._BUILT))
+    # xs, ds, and the ladder scale with the euler operator it reads; no stale entries
+    assert sizes == [4, 4, 4]
+
+
 def test_named_operator_rejects_a_basis_that_is_not_a_basis_tag():
     # unchecked, "xy" is not BasisTag.XY: X_s would come back in zzbar terms tagged "xy"
     with pytest.raises(TypeError, match="needs a BasisTag"):

@@ -32,6 +32,8 @@ def test_integer_and_fraction_literals():
     assert parse_operator("7") == WeylOperator.scalar(XY, 7)
     assert parse_operator("2/3") == WeylOperator.scalar(XY, Fraction(2, 3))
     assert parse_operator("i") == WeylOperator.scalar(XY, I)
+    assert parse_operator("1/2*x").terms == {(1, 0, 0, 0, 0, 0): G(Fraction(1, 2))}
+    assert parse_operator("6/4") == WeylOperator.scalar(XY, Fraction(3, 2))
 
 
 def test_precedence_product_over_sum():

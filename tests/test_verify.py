@@ -117,13 +117,26 @@ def _howe_doubles_a_layer(monkeypatch):
     _wrap(monkeypatch, ker, "howe_decompose", change)
 
 
-def _stirling_tilde_5_off_by_one(monkeypatch):
-    def change(table, n):
-        if n != 5:
-            return table
-        return {**table, (2, 1): table[(2, 1)] + 1}
+def _one_entry_plus_one(monkeypatch, name, n, key):
+    """comb_mod.name(n) with the entry at key one too large; other n pass through."""
+    _wrap(monkeypatch, comb_mod, name,
+          lambda table, m: {**table, key: table[key] + 1} if m == n else table)
 
-    _wrap(monkeypatch, comb_mod, "stirling_tilde", change)
+
+def _stirling_tilde_5_off_by_one(monkeypatch):
+    _one_entry_plus_one(monkeypatch, "stirling_tilde", 5, (2, 1))
+
+
+def _a_table_3_off_by_one(monkeypatch):
+    _one_entry_plus_one(monkeypatch, "a_table", 3, (0, 1))
+
+
+def _stirling_tilde_3_off_by_one(monkeypatch):
+    _one_entry_plus_one(monkeypatch, "stirling_tilde", 3, (1, 1))
+
+
+def _stirling_5_2_off_by_one(monkeypatch):
+    _wrap(monkeypatch, comb_mod, "stirling", lambda s, n, m: s + 1 if (n, m) == (5, 2) else s)
 
 
 def _plus(monkeypatch, name, extra):
@@ -133,6 +146,7 @@ def _plus(monkeypatch, name, extra):
 
 
 _Q = WeylOperator.generator(BasisTag.XY, "q")
+_DX = WeylOperator.generator(BasisTag.XY, "dx")
 
 
 def _casimir_plus_euler(monkeypatch):
@@ -145,6 +159,15 @@ def _rho_h_plus_one(monkeypatch):
 
 def _ts_plus_one(monkeypatch):
     _plus(monkeypatch, "ts", 1)
+
+
+def _ts_plus_dx(monkeypatch):
+    # ts + 1 keeps the degree n+m; the sweep reads the degree n-1+m, which dx reaches
+    _plus(monkeypatch, "ts", _DX)
+
+
+def _casimir_plus_q(monkeypatch):
+    _plus(monkeypatch, "casimir", _Q)
 
 
 def _ds_plus_one(monkeypatch):
@@ -229,21 +252,33 @@ FAULTS = [
     (_linear_solve_adds_z_m, "random.twistor-in-ds2"),
     (_howe_doubles_a_layer, "howe.roundtrip"),
     (_stirling_tilde_5_off_by_one, "stirling-tilde.structure"),
+    (_stirling_tilde_3_off_by_one, "stirling-tilde.displays"),
+    (_a_table_3_off_by_one, "a-table.closed-rows"),
+    (_stirling_5_2_off_by_one, "stirling.match"),
     (_casimir_plus_euler, "casimir.scalar"),
     (_rho_h_plus_one, "mp2.x-y"),
     (_ts_plus_one, "zbasis.ts"),
+    (_ts_plus_one, "holomorphic.family"),
+    (_ts_plus_dx, "exclusion.sweep"),
+    (_casimir_plus_q, "casimir.central"),
     (_ds_plus_one, "howe.roundtrip"),
     (_ds_plus_one, "zbasis.ds2"),
     (_ds_plus_one, "random.twistor-in-ds2"),
+    (_ds_plus_one, "sl2.euler-ds"),
+    (_ds_plus_one, "monogenic-minus.family"),
     (_xs_plus_q, "displays.xs-on-constants"),
     (_xs_plus_q, "displays.ts-xs-powers"),
     (_xs_plus_q, "twistor-basis.displays"),
+    (_xs_plus_q, "sl2.euler-xs"),
+    (_xs_plus_q, "a-table.match"),
     (_rho_x_plus_q, "cross.xs-rhoX"),
     (_rho_x_plus_q, "cross.ds-rhoX"),
     (_rho_x_plus_q, "casimir.expansion"),
     (_rho_x_plus_q, "casimir.scalar"),
+    (_rho_x_plus_q, "mp2.h-x"),
     (_rho_y_plus_q, "cross.xs-rhoY"),
     (_rho_y_plus_q, "cross.ds-rhoY"),
+    (_rho_y_plus_q, "mp2.h-y"),
     (_rho_h_plus_q, "cross.xs-rhoH"),
     (_rho_h_plus_q, "cross.ds-rhoH"),
     (_ladder_constant_doubled, "ladder.constants"),

@@ -49,6 +49,14 @@ def test_scalar_coercions_in_arithmetic():
     assert (x * I).scale(-I) == x
 
 
+@pytest.mark.parametrize("other", [1.5, None, "a"], ids=repr)
+@pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b], ids=["+", "-"])
+def test_sum_with_a_non_scalar_is_the_scalar_type_error(combine, other):
+    # the error x * 1.5 gives
+    with pytest.raises(TypeError, match="expected int or Fraction, got"):
+        combine(gen("x"), other)
+
+
 def test_canonical_commutation():
     # dq*q reorders to q*dq + 1, and likewise for the position pairs
     q, dq = gen("q"), gen("dq")
