@@ -11,10 +11,8 @@ Parentheses and unary minus signs together nest at most MAX_NESTING_DEPTH
 deep, which keeps the recursive descent inside Python's recursion limit;
 deeper input is an OperatorSyntaxError at the first token past the limit.
 An exponent above MAX_EXPONENT is an OperatorSyntaxError at the exponent.
-A product, and each step of a power, is an OperatorSyntaxError at its "*"
-or "^" when it would reach a total degree above MAX_OPERATOR_DEGREE or
-produce more than MAX_COMPOSE_TERMS terms before like terms merge; both
-are predicted before the composition.
+A product, or a step of a power, that WeylOperator.compose refuses is an
+OperatorSyntaxError at its "*" or "^".
 
 Identifiers: the generator names of weyl.GENERATOR_NAMES (x y q dx dy dq
 in the xy basis, z zbar q dz dzbar dq in the zzbar basis) and i (the
@@ -52,10 +50,8 @@ class UnknownSymbolError(OperatorSyntaxError):
 
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 64
-MAX_OPERATOR_DEGREE = 128  # total degree of a product's monomials
-MAX_COMPOSE_TERMS = 20_000  # terms of one composition before like terms merge
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
 
 class _Token(NamedTuple):
@@ -107,6 +103,13 @@ class _Parser:
         self.index += 1
         return tok
 
+    def expect(self, kind: str, message: str) -> _Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            raise OperatorSyntaxError(message, tok.position if tok else len(self.text))
+        self.index += 1
+        return tok
+
     def nest(self, tok: _Token) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
@@ -138,7 +141,7 @@ class _Parser:
             if tok is None or tok.kind != "*":
                 return acc
             self.advance()
-            acc = _compose(acc, self.parse_unary(), tok)
+            acc = _reported_at(tok, WeylOperator.compose, acc, self.parse_unary())
 
     def parse_unary(self) -> WeylOperator:
         tok = self.peek()
@@ -155,54 +158,34 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "^":
             self.advance()
-            exp_tok = self.peek()
-            if exp_tok is None or exp_tok.kind != "int":
-                at = exp_tok.position if exp_tok else len(self.text)
-                raise OperatorSyntaxError("exponent must be a nonnegative integer", at)
-            self.advance()
-            exponent = int(exp_tok.text)
-            if exponent > MAX_EXPONENT:
+            exp_tok = self.expect("int", "exponent must be a nonnegative integer")
+            digits = exp_tok.text.lstrip("0") or "0"  # compared before int() can refuse it
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise OperatorSyntaxError(
                     f"exponent must be at most {MAX_EXPONENT}", exp_tok.position
                 )
-            result = WeylOperator.identity(self.basis)
-            for _ in range(exponent):
-                result = _compose(result, base, tok)
-            return result
+            return _reported_at(tok, pow, base, int(digits))
         return base
 
     def parse_primary(self) -> WeylOperator:
-        tok = self.peek()
-        if tok is None:
-            raise OperatorSyntaxError("unexpected end of expression", len(self.text))
+        tok = self.advance()
         if tok.kind == "int":
-            self.advance()
-            value = int(tok.text)
+            value = _reported_at(tok, int, tok.text)  # past the digit limit of int()
             nxt = self.peek()
             if nxt is not None and nxt.kind == "/":
                 self.advance()
-                den_tok = self.peek()
-                if den_tok is None or den_tok.kind != "int":
-                    at = den_tok.position if den_tok else len(self.text)
-                    raise OperatorSyntaxError("'/' is only allowed between integer literals", at)
-                self.advance()
-                den = int(den_tok.text)
+                den_tok = self.expect("int", "'/' is only allowed between integer literals")
+                den = _reported_at(den_tok, int, den_tok.text)
                 if den == 0:
                     raise OperatorSyntaxError("zero denominator", den_tok.position)
                 value = _make(value, 0, den)  # value/den, reduced
             return WeylOperator.scalar(self.basis, value)
         if tok.kind == "ident":
-            self.advance()
             return self.ident_operand(tok)
         if tok.kind == "(":
-            self.advance()
             self.nest(tok)
             inner = self.parse_expr()
-            closing = self.peek()
-            if closing is None or closing.kind != ")":
-                at = closing.position if closing else len(self.text)
-                raise OperatorSyntaxError("expected ')'", at)
-            self.advance()
+            self.expect(")", "expected ')'")
             self.depth -= 1
             return inner
         raise OperatorSyntaxError(f"unexpected {tok.text!r}", tok.position)
@@ -224,18 +207,15 @@ class _Parser:
         )
 
 
-def _compose(a: WeylOperator, b: WeylOperator, tok: _Token) -> WeylOperator:
-    """a.compose(b), refused before any work when it exceeds a limit."""
-    degree = max(map(sum, a.terms), default=0) + max(map(sum, b.terms), default=0)
-    if degree > MAX_OPERATOR_DEGREE:
-        raise OperatorSyntaxError(
-            f"product reaches degree {degree}, above {MAX_OPERATOR_DEGREE}", tok.position
-        )
-    if a._compose_terms(b, MAX_COMPOSE_TERMS) > MAX_COMPOSE_TERMS:
-        raise OperatorSyntaxError(
-            f"product needs more than {MAX_COMPOSE_TERMS} terms", tok.position
-        )
-    return a.compose(b)
+def _reported_at(tok: _Token, fn, *args):
+    """fn(*args), with a ValueError it raises reported as an OperatorSyntaxError at tok.
+
+    This is how a composition that WeylOperator.compose refuses gets its position.
+    """
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise OperatorSyntaxError(str(exc), tok.position) from exc
 
 
 def _generator_bases(name: str) -> list[BasisTag]:

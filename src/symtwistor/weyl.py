@@ -21,6 +21,7 @@ derivatives, q and Dq fixed, so images need no reordering.
 
 from __future__ import annotations
 
+from collections import deque
 from enum import Enum
 from functools import lru_cache
 from math import comb, perm
@@ -77,6 +78,10 @@ def _clean_terms(terms: Mapping[Monomial, GaussianRational]) -> dict:
         if not c.is_zero():
             out[tuple(mono)] = c
     return out
+
+
+MAX_OPERATOR_DEGREE = 128  # total degree of a product's monomials
+MAX_COMPOSE_TERMS = 20_000  # terms of one composition before like terms merge
 
 
 @lru_cache(maxsize=1 << 12)  # bounded: one entry per (d, a) ever composed
@@ -163,8 +168,16 @@ class WeylOperator:
         return self.scale(other)
 
     def compose(self, other: "WeylOperator") -> "WeylOperator":
-        """self applied after other, reduced to normal order."""
+        """self applied after other, reduced to normal order.
+
+        Raises ValueError, before any work, past MAX_OPERATOR_DEGREE or MAX_COMPOSE_TERMS.
+        """
         self._require_same_basis(other)
+        degree = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
+        if degree > MAX_OPERATOR_DEGREE:
+            raise ValueError(f"product reaches degree {degree}, above {MAX_OPERATOR_DEGREE}")
+        if self._compose_terms(other, MAX_COMPOSE_TERMS) > MAX_COMPOSE_TERMS:
+            raise ValueError(f"product needs more than {MAX_COMPOSE_TERMS} terms")
         terms: dict = {}
         for m1, c1 in self.terms.items():
             a1, b1, q1, d1, e1, f1 = m1
@@ -200,17 +213,22 @@ class WeylOperator:
                 break
         return made
 
-    def powers(self, n: int) -> list:
-        """[self^0, self^1, ..., self^n]: one compose per step from the previous entry."""
+    def _walk(self, n: int):
+        """Yield self^0, self^1, ..., self^n: one compose per step from the one before."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a nonnegative integer exponent")
-        walk = [WeylOperator.identity(self.basis)]
+        power = WeylOperator.identity(self.basis)
+        yield power
         for _ in range(n):
-            walk.append(walk[-1].compose(self))
-        return walk
+            power = power.compose(self)
+            yield power
+
+    def powers(self, n: int) -> list:
+        """[self^0, self^1, ..., self^n], every step of the walk."""
+        return list(self._walk(n))
 
     def __pow__(self, exponent: int) -> "WeylOperator":
-        return self.powers(exponent)[-1]
+        return deque(self._walk(exponent), maxlen=1)[0]  # keeps only the current power
 
     def commutator(self, other: "WeylOperator") -> "WeylOperator":
         return self.compose(other) - other.compose(self)

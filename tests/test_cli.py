@@ -22,9 +22,9 @@ from symtwistor.cli import (
 from symtwistor import operators
 from symtwistor.exactnum import GaussianRational as G
 from symtwistor.kernels import monogenic_minus, raising_chain
-from symtwistor.parsing import MAX_COMPOSE_TERMS, MAX_EXPONENT, MAX_OPERATOR_DEGREE
+from symtwistor.parsing import MAX_EXPONENT
 from symtwistor.spinor import QPoly, Spinor
-from symtwistor.weyl import BasisTag
+from symtwistor.weyl import MAX_COMPOSE_TERMS, MAX_OPERATOR_DEGREE, BasisTag
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
 

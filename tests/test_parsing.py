@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from symtwistor.exactnum import G, I
 from symtwistor.parsing import (
+    MAX_EXPONENT,
     MAX_NESTING_DEPTH,
     OperatorSyntaxError,
     UnknownSymbolError,
@@ -193,6 +194,35 @@ def test_power_needs_integer_exponent():
         parse_operator("q^x")
     with pytest.raises(OperatorSyntaxError):
         parse_operator("q^")
+
+
+def test_an_exponent_past_the_digit_limit_of_int_is_the_exponent_limit():
+    # compared by its digits: int() of 5,000 digits would raise without a position
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_operator("x^" + "9" * 5000)
+    assert str(exc.value) == f"exponent must be at most {MAX_EXPONENT} (at position 2)"
+    assert parse_operator("x^" + "0" * 5000 + "2") == gen("x") ** 2
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("9" * 5000 + "*x", 0), ("x*1/" + "9" * 5000, 4)],
+    ids=["numerator", "denominator"],
+)
+def test_a_literal_past_the_digit_limit_of_int_is_a_syntax_error_at_the_literal(text, position):
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_operator(text)
+    assert exc.value.position == position
+    assert str(exc.value).endswith(f" (at position {position})")
+
+
+@pytest.mark.parametrize("text", ["\u0663*x", "\uff11\uff12*x", "x^\u0663"])
+def test_numbers_are_ascii_digits_only(text):
+    # Arabic-Indic three and fullwidth twelve; no renderer writes them
+    at = next(i for i, ch in enumerate(text) if not ch.isascii())
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_operator(text)
+    assert str(exc.value) == f"unexpected character {text[at]!r} (at position {at})"
 
 
 def test_stray_character_position():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
 
 import pytest
@@ -109,6 +110,29 @@ def test_powers_walks_every_power_up_to_n():
     assert op.powers(0) == [WeylOperator.identity(XY)]
     with pytest.raises(ValueError):
         op.powers(-1)
+
+
+def test_composition_past_the_degree_limit_is_refused():
+    x, dx = gen("x"), gen("dx")
+    message = "^product reaches degree 129, above 128$"
+    with pytest.raises(ValueError, match=message):
+        x**129
+    with pytest.raises(ValueError, match=message):
+        (dx**64) * (x**65)
+    with pytest.raises(ValueError, match=message):
+        (x**128).commutator(x)
+    assert len((dx**64 * x**64).terms) == 65  # at the limit it composes
+
+
+def test_composition_past_the_term_limit_is_refused():
+    w = gen("x") + gen("y") + gen("q") + gen("dx") + gen("dy") + gen("dq")
+    message = "^product needs more than 20000 terms$"
+    walk = w.powers(9)  # the last step, w^8 after w, makes 14,700 terms
+    assert walk[8]._compose_terms(w, 10**9) == 14_700
+    with pytest.raises(ValueError, match=message):
+        w**10
+    with pytest.raises(ValueError, match=message):
+        walk[9].commutator(w)
 
 
 def test_basis_mismatch_rejected():
@@ -238,7 +262,7 @@ def test_compose_matches_term_by_term_leibniz_reference(a, b):
     for mono, c in made:
         want = want + WeylOperator(XY, {mono: c})
     assert a.compose(b) == want
-    # the parser's limit predicts the terms compose makes before like terms merge
+    # compose's term limit predicts the terms it makes before like terms merge
     assert a._compose_terms(b, 10**9) == len(made)
 
 
@@ -246,6 +270,13 @@ def test_compose_matches_term_by_term_leibniz_reference(a, b):
 @given(operators(), operators(), operators())
 def test_composition_associative(a, b, c):
     assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(operators(), st.integers(min_value=0, max_value=4))
+def test_power_is_a_left_fold_of_compose_from_the_identity(op, n):
+    assert op**n == reduce(WeylOperator.compose, [op] * n, WeylOperator.identity(XY))
+    assert op.powers(n)[-1] == op**n
 
 
 def _other(basis):
