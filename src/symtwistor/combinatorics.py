@@ -14,11 +14,10 @@ caller builds, so a sweep over n walks one WeylOperator.powers sequence.
 
 from __future__ import annotations
 
-from math import comb, factorial
 from typing import Dict, Tuple
 
 from .exactnum import GaussianRational, I
-from .weyl import WeylOperator
+from .weyl import WeylOperator, _contractions
 
 TableKey = Tuple[int, int]
 
@@ -106,16 +105,13 @@ def _integer(value: GaussianRational, key) -> int:
 def _qt_mul(t1: Tuple[int, int, int], t2: Tuple[int, int, int]) -> Dict[Tuple[int, int, int], int]:
     """Product of q^a1 dq^d1 qt^r1 times q^a2 dq^d2 qt^r2, normal-ordered.
 
-    Moving dq^d1 past q^a2 emits one central qt per contraction:
+    Moving dq^d1 past q^a2 emits one central qt per contraction, with the
+    weights of the Weyl normal ordering (weyl._contractions):
     dq^d q^a = sum_j C(d,j) C(a,j) j! q^(a-j) dq^(d-j) qt^j.
     """
     a1, d1, r1 = t1
     a2, d2, r2 = t2
-    out = {}
-    for j in range(min(d1, a2) + 1):
-        w = comb(d1, j) * comb(a2, j) * factorial(j)
-        out[(a1 + a2 - j, d1 + d2 - j, r1 + r2 + j)] = w
-    return out
+    return {(a1 + a2 - j, d1 + d2 - j, r1 + r2 + j): w for j, w in _contractions(d1, a2)}
 
 
 def stirling_tilde(n: int) -> Dict[TableKey, int]:

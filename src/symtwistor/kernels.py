@@ -521,6 +521,12 @@ def rank(columns: Sequence[Sequence[GaussianRational]], nrows: int) -> int:
     return len(_eliminate(columns, nrows)[1])
 
 
+def same_span(a: Sequence[Spinor], b: Sequence[Spinor]) -> bool:
+    """Whether the bases a and b span one space: each side independent, no rank gained together."""
+    cols, n = spinor_columns([*a, *b])
+    return len(a) == rank(cols[: len(a)], n) == len(b) == rank(cols[len(a) :], n) == rank(cols, n)
+
+
 def spinor_columns(
     spinors: Sequence[Spinor],
 ) -> Tuple[List[List[GaussianRational]], int]:

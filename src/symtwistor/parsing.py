@@ -51,7 +51,8 @@ class UnknownSymbolError(OperatorSyntaxError):
 MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 64
 
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
+_SPACE = " \t\r\n"  # the only characters that separate tokens
+_TOKEN_RE = re.compile(rf"[{_SPACE}]*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
 
 
 class _Token(NamedTuple):
@@ -66,13 +67,13 @@ def tokenize(text: str) -> list[_Token]:
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
         if match is None or match.end() == pos:
-            stripped = text[pos:].lstrip()
+            stripped = text[pos:].lstrip(_SPACE)
             if not stripped:
                 break
             bad_at = len(text) - len(stripped)
             raise OperatorSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
         number, ident, op = match.groups()
-        start = match.end() - len(match.group().lstrip())
+        start = match.end() - len(match.group().lstrip(_SPACE))
         if number is not None:
             tokens.append(_Token("int", number, start))
         elif ident is not None:

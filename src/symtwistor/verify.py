@@ -7,13 +7,12 @@ both run these; the `criterion` tag groups checks under the numbered
 acceptance criteria. Randomized sweeps use a fixed seed so output is
 reproducible byte for byte.
 
-A check is registered in one of three ways. `_cases` takes rows
+A check is registered in one of two ways. `_cases` takes rows
 (label, got, want) and reports the first row with got != want as
-`<label>: got <value>`; all but three checks are rows, an operator
-identity as one `_residual` row. `@_check` keeps a prose witness for
-`sl2.ds-xs` and `twistor-basis.displays`, whose witnesses tests pin, and
-wraps `_recursion_vs_linear(kinds, ms)`, which tests call with their own
-ranges, for `oracle.recursion-vs-linear`.
+`<label>: got <value>`; every check but one is rows, an operator
+identity as one `_residual` row. `sl2.ds-xs` is the one hand-written
+check, appended as a `Check` of its own: its prose witness, which names
+-i*(E+1), is pinned by tests.
 
 Every display is an expression string in the `parsing` grammar; a spinor
 display names the operator p of e^{-q^2/2} * p and is read when its check runs.
@@ -119,14 +118,6 @@ class VerificationReport(NamedTuple):
 _CHECKS: List[Check] = []
 
 
-def _check(id: str, anchor: str, suite: str, criterion: Optional[int]):
-    def deco(fn):
-        _CHECKS.append(Check(id, anchor, suite, criterion, fn))
-        return fn
-
-    return deco
-
-
 def all_checks() -> List[Check]:
     return list(_CHECKS)
 
@@ -198,7 +189,6 @@ _cases("sl2.euler-xs", "[E+1, X_s] = X_s", "algebra", 1,
                  - named_operator("xs")))
 
 
-@_check("sl2.ds-xs", "[D_s, X_s] = E+1", "algebra", 1)
 def _sl2_ds_xs() -> Optional[str]:
     e1 = named_operator("euler") + 1
     actual = named_operator("ds").commutator(named_operator("xs"))
@@ -207,6 +197,9 @@ def _sl2_ds_xs() -> Optional[str]:
     if actual == e1.scale(MINUS_I):
         return f"commutator is {actual}, which equals -i*(E+1), not E+1"
     return f"commutator is {actual}, not E+1"
+
+
+_CHECKS.append(Check("sl2.ds-xs", "[D_s, X_s] = E+1", "algebra", 1, _sl2_ds_xs))
 
 
 _cases("mp2.x-y", "[rhoX, rhoY] = rhoH", "algebra", 1,
@@ -424,31 +417,27 @@ _TWISTOR_DISPLAYS_Z = {
 }
 
 
-@_check(
-    "twistor-basis.displays",
-    "displayed even twistor solutions m = 1, 2, 3 peel to one raised odd Dirac-kernel layer",
-    "kernels",
-    6,
-)
-def _twistor_basis_displays() -> Optional[str]:
+def _nonzero_multiple(a: Spinor, b: Spinor) -> bool:
+    """Whether a = c*b for some nonzero scalar c."""
+    c = ker.ratio_at_leading(a, b)
+    return c is not None and not c.is_zero() and b.scale(c) == a
+
+
+def _twistor_displays_rows():
     xs_z = named_operator("xs", ZZ)
     for m, text in _TWISTOR_DISPLAYS_Z.items():
-        display = _display(text)
-        base = ker.monogenic_minus(m - 1)
-        image = xs_z.apply(base)
-        scalar = ker.ratio_at_leading(display, image)
-        if scalar is None or scalar.is_zero():
-            return f"m={m}: no scalar relates the display to the raised element"
-        if image.scale(scalar) != display:
-            return f"m={m}: display is not a multiple of the raised element"
+        display, base = _display(text), ker.monogenic_minus(m - 1)
+        yield (f"m={m}, display is a nonzero multiple of X_s of the odd element",
+               _nonzero_multiple(display, xs_z.apply(base)), True)
         comps = ker.howe_decompose(display)
-        if len(comps) != 1 or comps[0].power != 1 or comps[0].homogeneity != m - 1:
-            return f"m={m}: peeling gave {[(c.homogeneity, c.power) for c in comps]}"
-        mono = comps[0].monogenic
-        factor = ker.ratio_at_leading(mono, base)
-        if factor.is_zero() or base.scale(factor) != mono:
-            return f"m={m}: peeled layer is not proportional to the canonical element"
-    return None
+        yield f"m={m}, peeled (homogeneity, power)", [(c.homogeneity, c.power) for c in comps], [(m - 1, 1)]
+        yield (f"m={m}, peeled layer is a nonzero multiple of the odd element",
+               _nonzero_multiple(comps[0].monogenic, base), True)
+
+
+_cases("twistor-basis.displays",
+       "displayed even twistor solutions m = 1, 2, 3 peel to one raised odd Dirac-kernel layer",
+       "kernels", 6, _twistor_displays_rows)
 
 
 _RANDOM_SEED = 20260817
@@ -504,32 +493,8 @@ _cases("random.twistor-in-ds2",
        "kernels", 7, _random_twistor_rows)
 
 
-def _spans_equal(a: List[Spinor], b: List[Spinor]) -> bool:
-    """Whether the bases a and b span one space: each side independent, no rank gained together."""
-    if not a and not b:
-        return True
-    cols, n = ker.spinor_columns(a + b)
-    return (
-        len(a)
-        == ker.rank(cols[: len(a)], n)
-        == len(b)
-        == ker.rank(cols[len(a) :], n)
-        == ker.rank(cols, n)
-    )
-
-
-@_check(
-    "oracle.recursion-vs-linear",
-    "recursion solutions and the exact linear-algebra kernel span the same space, all kinds, m <= 4",
-    "kernels",
-    8,
-)
-def _oracle_recursion_vs_linear() -> Optional[str]:
-    return _recursion_vs_linear(ker.RecursionKind, range(5))
-
-
-def _recursion_vs_linear(kinds, ms) -> Optional[str]:
-    """The first (kind, m) whose recursion and linear-kernel spans differ, or None."""
+def _recursion_vs_linear_rows(kinds, ms):
+    """One row per (kind, m): the recursion span equals the linear-kernel span."""
     for kind in kinds:
         for m in ms:
             qmax = 2 * m + 4
@@ -537,10 +502,13 @@ def _recursion_vs_linear(kinds, ms) -> Optional[str]:
             linear = ker.kernel_linear_solve(
                 ker.operator_for_kind(kind), m, qdeg, parity=kind.parity
             )
-            exact = ker.recursion_span(kind, m, qmax)
-            if not _spans_equal(exact, list(linear.basis)):
-                return f"{kind.value}, m={m}: spans differ"
-    return None
+            yield (f"{kind.value}, m={m}, recursion and linear spans equal",
+                   ker.same_span(ker.recursion_span(kind, m, qmax), linear.basis), True)
+
+
+_cases("oracle.recursion-vs-linear",
+       "recursion solutions and the exact linear-algebra kernel span the same space, all kinds, m <= 4",
+       "kernels", 8, lambda: _recursion_vs_linear_rows(ker.RecursionKind, range(5)))
 
 
 def _random_homogeneous_spinor(rng: random.Random, l: int, basis: BasisTag) -> Spinor:

@@ -165,7 +165,7 @@ def test_twistor_display_without_leading_monomial_gives_witness(monkeypatch):
     checks = [c for c in verify_mod.all_checks() if c.id == "twistor-basis.displays"]
     report = verify_mod.run_suite("kernels", checks=checks)
     assert [(r.status, r.witness) for r in report.results] == [
-        ("fail", "m=1: no scalar relates the display to the raised element")
+        ("fail", "m=1, display is a nonzero multiple of X_s of the odd element: got False")
     ]
 
 
@@ -328,6 +328,13 @@ def test_apply_parse_error_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "apply", "2q", path)
     assert code == 2
     assert "position 1" in err
+
+
+def test_apply_unicode_space_is_a_parse_error(tmp_path, capsys):
+    path = write_spinor(tmp_path, Spinor.monomial(XY, 0, 0, QPoly([1])))
+    code, out, err = run(capsys, "apply", "x\u3000+ y", path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "unexpected character '\\u3000' (at position 1)" in err
 
 
 def test_apply_schema_error_exits_2(tmp_path, capsys):

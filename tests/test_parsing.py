@@ -225,6 +225,19 @@ def test_numbers_are_ascii_digits_only(text):
     assert str(exc.value) == f"unexpected character {text[at]!r} (at position {at})"
 
 
+@pytest.mark.parametrize("text", ["x\u3000+ y", "x\xa0+ y", "x\u3000", "x + y\u2003"])
+def test_only_ascii_space_tab_cr_lf_separate_tokens(text):
+    # ideographic, no-break and em spaces are stray characters, trailing ones too
+    at = next(i for i, ch in enumerate(text) if not ch.isascii())
+    with pytest.raises(OperatorSyntaxError) as exc:
+        parse_operator(text)
+    assert str(exc.value) == f"unexpected character {text[at]!r} (at position {at})"
+
+
+def test_tab_cr_and_lf_separate_tokens():
+    assert parse_operator(" x\t+\r\n y \n") == parse_operator("x + y")
+
+
 def test_stray_character_position():
     with pytest.raises(OperatorSyntaxError) as exc:
         parse_operator("x + $y")
