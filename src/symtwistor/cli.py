@@ -100,8 +100,6 @@ def _cmd_verify(args) -> Tuple[int, Iterable[str]]:
 
 
 def _cmd_generate(args) -> Tuple[int, Iterable[str]]:
-    if args.m < 0:
-        raise ValueError("m must be nonnegative")
     _require_at_most("m", args.m, MAX_GENERATE_DEGREE)
     if args.kind == "monogenic+":
         spinors = [monogenic_plus(args.m)]
@@ -109,7 +107,7 @@ def _cmd_generate(args) -> Tuple[int, Iterable[str]]:
         spinors = [monogenic_minus(args.m)]
     else:
         spinors = twistor_kernel_basis(args.m)
-    target = BasisTag.parse(args.basis) if args.basis else BasisTag.ZZBAR
+    target = BasisTag(args.basis) if args.basis else BasisTag.ZZBAR
     spinors = [s.change_basis(target) for s in spinors]
     return 0, _render_spinors(spinors, args.format)
 
@@ -120,7 +118,7 @@ def _cmd_generate(args) -> Tuple[int, Iterable[str]]:
 def _cmd_apply(args) -> Tuple[int, Iterable[str]]:
     spinor = _load_spinor(args.spinor_file)
     _require_at_most("position degree", _top_degree(spinor), MAX_APPLY_DEGREE)
-    target = BasisTag.parse(args.basis) if args.basis else spinor.basis
+    target = BasisTag(args.basis) if args.basis else spinor.basis
     spinor = spinor.change_basis(target)
     op = parse_operator(args.op_expr, target)
     result = op.apply(spinor)
@@ -141,7 +139,7 @@ def _cmd_decompose(args) -> Tuple[int, Iterable[str]]:
     spinor = _load_spinor(args.spinor_file)
     _require_at_most("homogeneity", _top_degree(spinor), MAX_DECOMPOSE_HOMOGENEITY)
     if args.basis:
-        spinor = spinor.change_basis(BasisTag.parse(args.basis))
+        spinor = spinor.change_basis(BasisTag(args.basis))
     components = []
     for part in _homogeneous_parts(spinor):
         components.extend(howe_decompose(part))  # reconstruction asserted inside

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactnum import ZERO, GaussianRational, G, _make, _sub_mul
+from .exactnum import I, ONE, ZERO, GaussianRational, _make, _sub_mul
 from .weyl import BasisTag, WeylOperator
 from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
 from .operators import _get_or_build, named_operator
@@ -212,7 +212,7 @@ def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> Kern
     free = [slot for slot in _inputs(kind, m, qmax) if slot[0] > 0]
     seeded = _fill(kind, m, qmax, {(0, k): seed.coefficient(k) for k in range(0, qmax + 1, 2)})
     elements = ([seeded] if not seeded.is_zero() else []) + [
-        _fill(kind, m, qmax, {slot: G(1)}) for slot in free
+        _fill(kind, m, qmax, {slot: ONE}) for slot in free
     ]
     return KernelFamily(
         homogeneity=m,
@@ -232,7 +232,7 @@ def recursion_span(kind: RecursionKind, m: int, qmax: int) -> List[Spinor]:
     """
     _check_window(m, qmax)
     op = operator_for_kind(kind)
-    elements = [_fill(kind, m, qmax, {slot: G(1)}) for slot in _inputs(kind, m, qmax)]
+    elements = [_fill(kind, m, qmax, {slot: ONE}) for slot in _inputs(kind, m, qmax)]
     residuals = [op.apply(e) for e in elements]
     for residual in residuals:
         _classify_residual(residual, qmax)
@@ -300,7 +300,7 @@ def verify_exclusion(raised: Spinor, n: int, m: int) -> GaussianRational:
 
 def exclusion_formula(n: int, m: int) -> GaussianRational:
     """-i^n (n+2m)(n-1)/2, the closed form the sweep is checked against."""
-    return G(0, 1) ** n * _make(-(n + 2 * m) * (n - 1), 0, 2)
+    return I ** n * _make(-(n + 2 * m) * (n - 1), 0, 2)
 
 
 def verify_minus_exclusion(m: int) -> GaussianRational:
@@ -310,9 +310,9 @@ def verify_minus_exclusion(m: int) -> GaussianRational:
     if m == 0:
         if not out.is_zero():
             raise ArithmeticError("constant odd spinor unexpectedly escaped the kernel")
-        return G(0)
+        return ZERO
     poly = out.terms.get((0, m - 1))
-    return poly.coefficient(3) if poly is not None else G(0)
+    return poly.coefficient(3) if poly is not None else ZERO
 
 
 # ---- Howe-type peeling ----
@@ -333,7 +333,7 @@ def _ladder_scale() -> GaussianRational:
 
     def build() -> GaussianRational:
         bracket = named_operator("ds").commutator(named_operator("xs"))
-        c = bracket.terms.get((0,) * 6, G(0))
+        c = bracket.terms.get((0,) * 6, ZERO)
         if bracket != (named_operator("euler") + 1).scale(c):
             raise ArithmeticError(f"[D_s, X_s] = {bracket} is not a multiple of E+1")
         return c
@@ -508,8 +508,8 @@ def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     vectors = []
     for fc in free_cols:
-        vec = [G(0)] * ncols
-        vec[fc] = G(1)
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
         for pc, pr in pivot_of_col.items():
             if fc in rows[pr]:
                 vec[pc] = -rows[pr][fc]
@@ -546,7 +546,7 @@ def spinor_columns(
     ]
     columns = []
     for column_entries in entries:
-        col = [G(0)] * len(rows)
+        col = [ZERO] * len(rows)
         for row, c in column_entries:
             col[row] = c
         columns.append(col)
@@ -572,27 +572,24 @@ def linear_combination(
 # ---- scalar action ----
 
 
-def ratio_at_leading(a: Spinor, b: Spinor) -> Optional[GaussianRational]:
-    """a's coefficient over b's at b's first nonzero (key, q-power); None if b is zero.
+def scalar_multiple(a: Spinor, b: Spinor) -> Optional[GaussianRational]:
+    """The exact c with a = c*b, or None if b is zero or no such c exists.
 
-    Keys are taken in sorted order. If a = c*b for some scalar c, this is c.
+    c is read at b's first nonzero (key, q-power), keys in sorted order.
     """
     if b.is_zero():
         return None
     key = min(b.terms)
-    k, c = next(b.terms[key].nonzero_terms())
-    return a.terms.get(key, QPoly()).coefficient(k) / c
+    k, lead = next(b.terms[key].nonzero_terms())
+    c = a.terms.get(key, QPoly()).coefficient(k) / lead
+    return c if a == b.scale(c) else None
 
 
 def scalar_action(op: WeylOperator, s: Spinor) -> Optional[GaussianRational]:
     """The exact c with op(s) = c*s, or None if op does not act as a scalar."""
     if s.is_zero():
         raise ValueError("scalar action on the zero spinor is undefined")
-    image = op.apply(s)
-    if image.is_zero():
-        return G(0)
-    candidate = ratio_at_leading(image, s)
-    return candidate if image == s.scale(candidate) else None
+    return scalar_multiple(op.apply(s), s)
 
 
 # ---- holomorphic family ----

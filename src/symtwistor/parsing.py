@@ -66,7 +66,7 @@ def tokenize(text: str) -> list[_Token]:
     pos = 0
     while pos < len(text):
         match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
+        if match is None:
             stripped = text[pos:].lstrip(_SPACE)
             if not stripped:
                 break

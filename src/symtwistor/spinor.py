@@ -15,16 +15,13 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exactnum import _LATEX, _TEXT, ZERO, GaussianRational, ScalarLike, _Style
 from .exactnum import _write_product, _write_sum
-from .exactnum import _make as _scalar  # unchecked (a + b*i)/d; QPoly reads the triple
+from .exactnum import _make  # unchecked (a + b*i)/d; QPoly reads the triple
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
 from .weyl import SUBSTITUTION, WeylOperator, substitute
 
 EVEN = "even"
 ODD = "odd"
 MIXED = "mixed"
-
-SPINOR_SCHEMA_VERSION = 1
-
 
 class QPoly:
     """Polynomial in q over Q(i): Gaussian-integer numerators over one denominator.
@@ -71,12 +68,12 @@ class QPoly:
     @property
     def coeffs(self) -> Tuple[GaussianRational, ...]:
         d = self._d
-        return tuple(_scalar(a, b, d) for a, b in zip(self._re, self._im))
+        return tuple(_make(a, b, d) for a, b in zip(self._re, self._im))
 
     def nonzero_terms(self) -> Iterator[Tuple[int, GaussianRational]]:
         """(k, coefficient of q^k) for each nonzero coefficient, k ascending."""
         d = self._d
-        return ((k, _scalar(a, b, d)) for k, (a, b) in enumerate(zip(self._re, self._im)) if a or b)
+        return ((k, _make(a, b, d)) for k, (a, b) in enumerate(zip(self._re, self._im)) if a or b)
 
     def is_zero(self) -> bool:
         return not self._re
@@ -86,7 +83,7 @@ class QPoly:
 
     def coefficient(self, exponent: int) -> GaussianRational:
         if 0 <= exponent < len(self._re):
-            return _scalar(self._re[exponent], self._im[exponent], self._d)
+            return _make(self._re[exponent], self._im[exponent], self._d)
         return ZERO
 
     def parity(self) -> str:
@@ -120,12 +117,6 @@ class QPoly:
             return self
         pad = (0,) * k
         return _raw(pad + self._re, pad + self._im, self._d)
-
-    def derivative(self) -> "QPoly":
-        re, im = self._re, self._im
-        return _canonical(
-            [k * re[k] for k in range(1, len(re))], [k * im[k] for k in range(1, len(im))], self._d
-        )
 
     def weighted_dq(self) -> "QPoly":
         """d/dq through the implicit weight: p -> p' - q*p.
@@ -452,7 +443,7 @@ class Spinor:
         if not isinstance(data, dict):
             raise ValueError("spinor JSON must be an object")
         try:
-            basis = BasisTag.parse(data.get("basis"))
+            basis = BasisTag(data.get("basis"))
         except ValueError:
             raise ValueError("basis: expected 'xy' or 'zzbar'") from None
         raw_terms = data.get("terms")

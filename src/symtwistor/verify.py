@@ -419,8 +419,8 @@ _TWISTOR_DISPLAYS_Z = {
 
 def _nonzero_multiple(a: Spinor, b: Spinor) -> bool:
     """Whether a = c*b for some nonzero scalar c."""
-    c = ker.ratio_at_leading(a, b)
-    return c is not None and not c.is_zero() and b.scale(c) == a
+    c = ker.scalar_multiple(a, b)
+    return c is not None and not c.is_zero()
 
 
 def _twistor_displays_rows():

@@ -37,13 +37,6 @@ class BasisTag(Enum):
     XY = "xy"
     ZZBAR = "zzbar"
 
-    @staticmethod
-    def parse(text: str) -> "BasisTag":
-        for tag in BasisTag:
-            if tag.value == text:
-                return tag
-        raise ValueError(f"unknown basis {text!r} (expected 'xy' or 'zzbar')")
-
 
 class BasisMismatchError(ValueError):
     """Raised when two objects tagged with different bases are combined."""

@@ -474,6 +474,24 @@ def test_tables_stirling_tilde_display(capsys):
     assert "i=2 r=1: 3" in out
 
 
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        ([], "s(5, m) for m = 1..5: 1 15 25 10 1\n"),
+        (["--flat"], "1,15,25,10,1\n"),
+        (["--format", "latex"], "\n".join([r"\begin{array}{rrrrr}", r"1 & 15 & 25 & 10 & 1 \\", r"\end{array}", ""])),
+    ],
+)
+def test_tables_stirling_row(capsys, flags, want):
+    assert run(capsys, "tables", "stirling", "5", *flags) == (0, want, "")
+
+
+def test_tables_stirling_json(capsys):
+    code, out, _ = run(capsys, "tables", "stirling", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"which": "stirling", "n": 5, "entries": [1, 15, 25, 10, 1]}
+
+
 def test_tables_flat_json(capsys):
     code, out, _ = run(capsys, "tables", "A", "4", "--flat", "--format", "json")
     assert code == 0

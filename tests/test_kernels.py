@@ -27,11 +27,11 @@ from symtwistor.kernels import (
     operator_for_kind,
     raising_chain,
     rank,
-    ratio_at_leading,
     reassemble,
     recursion_span,
     same_span,
     scalar_action,
+    scalar_multiple,
     spinor_columns,
     solve_recursion,
     twistor_kernel_basis,
@@ -640,14 +640,28 @@ def test_spinor_columns_nullspace_recovers_planted_dependency():
     assert linear_combination(vec, [a, b, c]).is_zero()
 
 
-def test_ratio_at_leading():
+def test_scalar_multiple():
     b = monogenic_minus(2)
     c = G(Fraction(-3, 4), 2)
-    assert ratio_at_leading(b.scale(c), b) == c
-    # b leads at key (0, 2), power q^1: other terms of a do not count
-    assert ratio_at_leading(b.scale(c) + Spinor.monomial(ZZ, 2, 0, [0, 5]), b) == c
-    assert ratio_at_leading(monogenic_plus(2), b) == 0
-    assert ratio_at_leading(b, Spinor.zero(ZZ)) is None
+    assert scalar_multiple(b.scale(c), b) == c
+    assert scalar_multiple(Spinor.zero(ZZ), b) == 0
+    # b leads at key (0, 2), power q^1; a term of a outside b's span makes it no multiple
+    assert scalar_multiple(b.scale(c) + Spinor.monomial(ZZ, 2, 0, [0, 5]), b) is None
+    assert scalar_multiple(monogenic_plus(2), b) is None
+    assert scalar_multiple(b, Spinor.zero(ZZ)) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_scalar_multiple_recovers_the_scale_and_refuses_an_outside_term(rng):
+    nonzero = lambda: G(rng.randint(1, 9), rng.randint(-9, 9))  # noqa: E731
+    terms = {(rng.randrange(3), rng.randrange(3)): QPoly([_random_gaussian(rng) for _ in range(4)])
+             for _ in range(3)}
+    b = Spinor(ZZ, {**terms, (3, 0): QPoly([nonzero()])})
+    c = _random_gaussian(rng)
+    assert scalar_multiple(b.scale(c), b) == c
+    # position degree 6 lies outside b's support, so no multiple of b has this term
+    assert scalar_multiple(b.scale(c) + Spinor.monomial(ZZ, 6, 0, [nonzero()]), b) is None
 
 
 # ---- scalar action ----

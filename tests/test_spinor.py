@@ -43,11 +43,9 @@ def test_qpoly_arithmetic():
     assert p.scale(I) == QPoly([I, G(0), G(0, 2)])
 
 
-def test_qpoly_shift_and_derivative():
+def test_qpoly_shift():
     p = QPoly([1, 2, 3])
     assert p.shift(2) == QPoly([0, 0, 1, 2, 3])
-    assert p.derivative() == QPoly([2, 6])
-    assert QPoly([5]).derivative().is_zero()
 
 
 def test_qpoly_negative_shift_raises():
@@ -313,7 +311,6 @@ def test_qpoly_operations_match_coefficientwise_reference(a, b, c, k):
     assert_matches(-p, [-x for x in a])
     assert_matches(p.scale(c), [x * c for x in a])
     assert_matches(p.shift(k), [G(0)] * k + list(a) if not p.is_zero() else [])
-    assert_matches(p.derivative(), [a[j] * j for j in range(1, len(a))])
     assert_matches(p.weighted_dq(), ref_dq(list(a)))
     assert_matches(QPoly.combination([(c, p.shift(k)), (G(0, 1), r)]),
                    ref_add([G(0)] * k + [x * c for x in a], [y * I for y in b]))

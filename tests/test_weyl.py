@@ -18,10 +18,10 @@ def gen(name, basis=XY):
 
 
 def test_basis_tag_parse():
-    assert BasisTag.parse("xy") is XY
-    assert BasisTag.parse("zzbar") is ZZ
+    assert BasisTag("xy") is XY
+    assert BasisTag("zzbar") is ZZ
     with pytest.raises(ValueError):
-        BasisTag.parse("polar")
+        BasisTag("polar")
 
 
 def test_zero_and_identity():
