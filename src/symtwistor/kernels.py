@@ -10,9 +10,11 @@ relation families is data (_relation): lead * a[r][k] = sum of w *
 a[r-dr][k-dk]. One fill rule serves them all: a slot whose lead is 0 is
 an input, anything else is solved bottom-up. Row 0 holds the seed A^0;
 the inputs above it are reported as named free parameters instead of
-guessed. Every returned element is verified by exact operator
-application; a residual supported strictly below the truncation
-boundary is a solver bug and raises.
+guessed. A free element and its residual do not depend on the seed:
+each is computed once per (operator, kind, m, qmax, slot) and cached
+(_unit_fill, at most FILL_CACHE_SIZE entries). Every returned element is
+verified by exact operator application; a residual supported strictly
+below the truncation boundary is a solver bug and raises, on every call.
 
 kernel_linear_solve is the independent oracle: plain exact linear
 algebra over Q(i) on the coefficient space, no recursion involved.
@@ -174,6 +176,16 @@ def _fill(kind: RecursionKind, m: int, qmax: int, inputs) -> Spinor:
     return Spinor(BasisTag.ZZBAR, {key: _from_terms(row) for key, row in rows.items()})
 
 
+FILL_CACHE_SIZE = 1 << 10  # bound on the unit fills _unit_fill holds, with their residuals
+
+
+@lru_cache(maxsize=FILL_CACHE_SIZE)
+def _unit_fill(op: WeylOperator, kind: RecursionKind, m: int, qmax: int, slot: Tuple[int, int]):
+    """(fill with slot one, other inputs zero; op applied to it). A rebound op is a new key."""
+    element = _fill(kind, m, qmax, {slot: ONE})
+    return element, op.apply(element)
+
+
 def _classify_residual(residual: Spinor, qmax: int) -> bool:
     """False = exact global solution, True = truncation artifact; raises on a bug."""
     if residual.is_zero():
@@ -200,7 +212,8 @@ def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> Kern
     zero); each further element corresponds to one free parameter set to
     one with a zero seed. The free parameters are the input slots above
     row 0: a[r][0] where the leading factor vanishes, plus the whole a[1]
-    row for the second-order kinds.
+    row for the second-order kinds. Free elements and their residuals are
+    computed once per (operator, kind, m, qmax, slot), and classified on every call.
     """
     _check_window(m, qmax)
     if seed.parity() != EVEN:
@@ -211,29 +224,29 @@ def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> Kern
     op = operator_for_kind(kind)
     free = [slot for slot in _inputs(kind, m, qmax) if slot[0] > 0]
     seeded = _fill(kind, m, qmax, {(0, k): seed.coefficient(k) for k in range(0, qmax + 1, 2)})
-    elements = ([seeded] if not seeded.is_zero() else []) + [
-        _fill(kind, m, qmax, {slot: ONE}) for slot in free
+    pairs = ([(seeded, op.apply(seeded))] if not seeded.is_zero() else []) + [
+        _unit_fill(op, kind, m, qmax, slot) for slot in free
     ]
     return KernelFamily(
         homogeneity=m,
         kind=kind,
         qmax=qmax,
-        basis=tuple(elements),
+        basis=tuple(e for e, _ in pairs),
         free_parameters=tuple(f"a[r={r},k={k}]" for r, k in free),
-        extends_beyond_truncation=tuple(_classify_residual(op.apply(e), qmax) for e in elements),
+        extends_beyond_truncation=tuple(_classify_residual(res, qmax) for _, res in pairs),
     )
 
 
 def recursion_span(kind: RecursionKind, m: int, qmax: int) -> List[Spinor]:
     """Basis of the exact solutions among all tables the kind's relations allow.
 
-    One fill per input slot, seed row included; the exact combinations are
-    the nullspace of the fills' residuals, each checked as in solve_recursion.
+    One unit fill per input slot, seed row included, as in solve_recursion; the exact
+    combinations are the nullspace of the fills' residuals, each checked likewise.
     """
     _check_window(m, qmax)
     op = operator_for_kind(kind)
-    elements = [_fill(kind, m, qmax, {slot: ONE}) for slot in _inputs(kind, m, qmax)]
-    residuals = [op.apply(e) for e in elements]
+    elements, residuals = zip(*(_unit_fill(op, kind, m, qmax, slot)
+                                for slot in _inputs(kind, m, qmax)))
     for residual in residuals:
         _classify_residual(residual, qmax)
     columns, nrows = spinor_columns(residuals)

@@ -176,6 +176,8 @@ def test_recursion_span_matches_unit_seed_construction(kind):
 
 @pytest.mark.parametrize("kind", list(RecursionKind))
 def test_recursion_span_fills_once_per_input(kind, monkeypatch):
+    """Over two seeded solves and two spans of one window, each input slot is
+    filled once as a unit, and each nonzero seed once."""
     calls = []
     genuine = kernels_mod._fill
 
@@ -184,13 +186,62 @@ def test_recursion_span_fills_once_per_input(kind, monkeypatch):
         return genuine(*args)
 
     monkeypatch.setattr(kernels_mod, "_fill", counting)
+    kernels_mod._unit_fill.cache_clear()
     m, qmax = 3, 10
+    seeds = [QPoly([1]), QPoly.monomial(4)]
+    solve_recursion(kind, m, seeds[0], qmax)
     recursion_span(kind, m, qmax)
-    seed_row = qmax // 2 + 1
-    assert len(calls) == seed_row + len(_expected_free_slots(kind, m, qmax))
-    assert sorted(slot for *_, inputs in calls for slot in inputs) == sorted(
+    recursion_span(kind, m, qmax)
+    solve_recursion(kind, m, seeds[1], qmax)
+    units = [inputs for *_, inputs in calls if len(inputs) == 1]
+    assert len(calls) - len(units) == len(seeds)
+    assert sorted(slot for inputs in units for slot in inputs) == sorted(
         [(0, k) for k in range(0, qmax + 1, 2)] + _expected_free_slots(kind, m, qmax)
     )
+
+
+def test_free_elements_are_filled_and_applied_once_per_window(monkeypatch):
+    kind, m, qmax = RecursionKind.DS2_EVEN, 5, 16
+    seeds = [  # unitriangular: q^j plus rational lower even terms
+        QPoly([Fraction(k + 1, j + 3) if k % 2 == 0 else 0 for k in range(j)] + [1])
+        for j in range(0, qmax + 1, 2)
+    ]
+    assert len(seeds) == 9
+    operator_for_kind(kind)  # built outside the count
+    applies = []
+    genuine = WeylOperator.apply
+
+    def counting(self, spinor):
+        applies.append(spinor)
+        return genuine(self, spinor)
+
+    kernels_mod._unit_fill.cache_clear()
+    monkeypatch.setattr(WeylOperator, "apply", counting)
+    families = [solve_recursion(kind, m, seed, qmax) for seed in seeds]
+    assert len(applies) == len(_expected_free_slots(kind, m, qmax)) + len(seeds)
+    monkeypatch.undo()
+    for seed, family in zip(seeds, families):
+        kernels_mod._unit_fill.cache_clear()
+        fresh = solve_recursion(kind, m, seed, qmax)
+        assert family.to_json() == fresh.to_json()
+        assert family.free_parameters == fresh.free_parameters
+        assert family.extends_beyond_truncation == fresh.extends_beyond_truncation
+
+
+def test_unit_fill_cache_follows_a_rebound_registry_operator(monkeypatch):
+    kind, m, qmax = RecursionKind.DS_EVEN, 2, 6
+    span = recursion_span(kind, m, qmax)
+    family = solve_recursion(kind, m, QPoly(), qmax)  # zero seed: free elements only
+    assert family.free_parameters and not any(family.extends_beyond_truncation)
+    monkeypatch.setitem(operators._BUILDERS, "ds", lambda: build_ds() + 1)
+    # D_s + 1 leaves each fill itself as residual, far below the truncation boundary
+    with pytest.raises(ArithmeticError, match="below the truncation boundary"):
+        recursion_span(kind, m, qmax)
+    with pytest.raises(ArithmeticError, match="below the truncation boundary"):
+        solve_recursion(kind, m, QPoly(), qmax)
+    monkeypatch.undo()
+    assert recursion_span(kind, m, qmax) == span
+    assert solve_recursion(kind, m, QPoly(), qmax).to_json() == family.to_json()
 
 
 def _reference_fill(kind, m, qmax, inputs):
