@@ -76,11 +76,10 @@ def stirling(n: int, m: int) -> int:
 
 
 def stirling_from_power(power: WeylOperator, n: int, m: int) -> int:
-    """Oracle: the q^m dq^m entry of power, the normal-ordered (q dq)^n; same domain as stirling."""
+    """Oracle: entry (m, m) of q_dq_entries(power), power the normal-ordered (q dq)^n; n, m >= 1."""
     if n < 1 or m < 1:
         raise ValueError("stirling_from_power(power, n, m) needs n >= 1, m >= 1")
-    coeff = power.terms.get((0, 0, m, 0, 0, m))
-    return 0 if coeff is None else _integer(coeff, (m, m))
+    return q_dq_entries(power).get((m, m), 0)
 
 
 def q_dq_entries(power: WeylOperator) -> Dict[TableKey, int]:

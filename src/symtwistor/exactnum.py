@@ -80,12 +80,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
-        d, f = self._d, other._d
-        if d == f:
-            return _make(self._a - other._a, self._b - other._b, d)
-        return _make(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
+        return self + -GaussianRational.coerce(other)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return GaussianRational.coerce(other) - self

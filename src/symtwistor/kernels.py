@@ -28,7 +28,7 @@ from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import I, ONE, ZERO, GaussianRational, _make, _sub_mul
-from .weyl import BasisTag, WeylOperator
+from .weyl import BasisTag, WeylOperator, _require_same_basis
 from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
 from .operators import _get_or_build, named_operator
 
@@ -576,7 +576,7 @@ def linear_combination(
     parts: Dict[Tuple[int, int], list] = {}
     for c, s in zip(coeffs, spinors):
         if not c.is_zero():
-            spinors[0]._require_same_basis(s)
+            _require_same_basis(spinors[0], s)
             for key, poly in s.terms.items():
                 parts.setdefault(key, []).append((c, poly))
     return Spinor(spinors[0].basis, {key: QPoly.combination(ps) for key, ps in parts.items()})

@@ -17,7 +17,7 @@ from .exactnum import _LATEX, _TEXT, ZERO, GaussianRational, ScalarLike, _Style
 from .exactnum import _write_product, _write_sum
 from .exactnum import _make  # unchecked (a + b*i)/d; QPoly reads the triple
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
-from .weyl import SUBSTITUTION, WeylOperator, substitute
+from .weyl import SUBSTITUTION, WeylOperator, _require_same_basis, substitute
 
 EVEN = "even"
 ODD = "odd"
@@ -348,14 +348,8 @@ class Spinor:
 
     # ---- linear structure ----
 
-    def _require_same_basis(self, other: "Spinor") -> None:
-        if self.basis is not other.basis:
-            raise BasisMismatchError(
-                f"spinor bases differ: {self.basis.value} vs {other.basis.value}"
-            )
-
     def __add__(self, other: "Spinor") -> "Spinor":
-        self._require_same_basis(other)
+        _require_same_basis(self, other)
         terms = dict(self.terms)
         for key, poly in other.terms.items():
             prev = terms.get(key)

@@ -123,7 +123,7 @@ def all_checks() -> List[Check]:
 
 
 def suite_names() -> List[str]:
-    return ["algebra", "kernels", "combinatorics", "all"]
+    return [*dict.fromkeys(c.suite for c in _CHECKS), "all"]
 
 
 def run_suite(name: str, checks: Optional[List[Check]] = None) -> VerificationReport:

@@ -42,6 +42,12 @@ class BasisMismatchError(ValueError):
     """Raised when two objects tagged with different bases are combined."""
 
 
+def _require_same_basis(a, b) -> None:
+    """The one basis rule: operators and spinors combine only in one basis."""
+    if a.basis is not b.basis:
+        raise BasisMismatchError(f"bases differ: {a.basis.value} vs {b.basis.value}")
+
+
 # Generator names in monomial slot order; the parser and the spinor
 # renderings read these tables, so names live only here.
 GENERATOR_NAMES = {
@@ -75,6 +81,15 @@ def _clean_terms(terms: Mapping[Monomial, GaussianRational]) -> dict:
 
 MAX_OPERATOR_DEGREE = 128  # total degree of a product's monomials
 MAX_COMPOSE_TERMS = 20_000  # terms of one composition before like terms merge
+
+
+def _degree(op: "WeylOperator") -> int:
+    return max(map(sum, op.terms), default=0)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_OPERATOR_DEGREE:
+        raise ValueError(f"product reaches degree {degree}, above {MAX_OPERATOR_DEGREE}")
 
 
 @lru_cache(maxsize=1 << 12)  # bounded: one entry per (d, a) ever composed
@@ -119,16 +134,10 @@ class WeylOperator:
 
     # ---- linear structure ----
 
-    def _require_same_basis(self, other: "WeylOperator") -> None:
-        if self.basis is not other.basis:
-            raise BasisMismatchError(
-                f"operator bases differ: {self.basis.value} vs {other.basis.value}"
-            )
-
     def __add__(self, other) -> "WeylOperator":
         if not isinstance(other, WeylOperator):
             other = WeylOperator.scalar(self.basis, other)
-        self._require_same_basis(other)
+        _require_same_basis(self, other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = terms.get(mono)
@@ -165,10 +174,8 @@ class WeylOperator:
 
         Raises ValueError, before any work, past MAX_OPERATOR_DEGREE or MAX_COMPOSE_TERMS.
         """
-        self._require_same_basis(other)
-        degree = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0)
-        if degree > MAX_OPERATOR_DEGREE:
-            raise ValueError(f"product reaches degree {degree}, above {MAX_OPERATOR_DEGREE}")
+        _require_same_basis(self, other)
+        _check_degree(_degree(self) + _degree(other))
         if self._compose_terms(other, MAX_COMPOSE_TERMS) > MAX_COMPOSE_TERMS:
             raise ValueError(f"product needs more than {MAX_COMPOSE_TERMS} terms")
         terms: dict = {}
@@ -207,9 +214,18 @@ class WeylOperator:
         return made
 
     def _walk(self, n: int):
-        """Yield self^0, self^1, ..., self^n: one compose per step from the one before."""
+        """Yield self^0, self^1, ..., self^n: one compose per step from the one before.
+
+        self^k has degree k * deg(self), so a walk that compose would refuse at some step
+        is refused before its first; a degree-0 self walks at most MAX_OPERATOR_DEGREE steps.
+        """
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator power needs a nonnegative integer exponent")
+        d = _degree(self)
+        if d:
+            _check_degree(d * min(n, MAX_OPERATOR_DEGREE // d + 1))
+        elif n > MAX_OPERATOR_DEGREE:
+            raise ValueError(f"degree-0 power has exponent {n}, above {MAX_OPERATOR_DEGREE}")
         power = WeylOperator.identity(self.basis)
         yield power
         for _ in range(n):
@@ -257,11 +273,7 @@ class WeylOperator:
         """Act on a weight-stripped Spinor (Dq acts as d/dq - q)."""
         from .spinor import _act
 
-        if self.basis is not spinor.basis:
-            raise BasisMismatchError(
-                f"operator basis {self.basis.value} does not match spinor basis "
-                f"{spinor.basis.value}"
-            )
+        _require_same_basis(self, spinor)
         return _act(self, spinor)
 
     # ---- structure / rendering ----

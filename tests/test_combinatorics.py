@@ -70,6 +70,12 @@ def test_stirling_from_power_has_the_domain_of_stirling(n, m):
         stirling_from_power(qdq**n, n, m)
 
 
+def test_stirling_from_power_refuses_a_power_outside_q_and_dq():
+    q, dq, x = (WeylOperator.generator(BasisTag.XY, name) for name in ("q", "dq", "x"))
+    with pytest.raises(AssertionError, match="is not in q and dq alone"):
+        stirling_from_power(q * dq + x, 1, 1)
+
+
 def test_stirling_out_of_range():
     with pytest.raises(ValueError):
         stirling(0, 1)

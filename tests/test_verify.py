@@ -22,6 +22,7 @@ import symtwistor
 import symtwistor.combinatorics as comb_mod
 import symtwistor.kernels as ker
 import symtwistor.operators as operators
+import symtwistor.spinor as spinor_mod
 import symtwistor.verify as verify_mod
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisTag, WeylOperator
@@ -210,6 +211,16 @@ def _twistor_basis_first_doubled(monkeypatch):
     _wrap(monkeypatch, ker, "twistor_kernel_basis", lambda basis, m: [basis[0].scale(2), *basis[1:]])
 
 
+def _weighted_dq_plus_q3(monkeypatch):
+    genuine = QPoly.weighted_dq
+    monkeypatch.setattr(QPoly, "weighted_dq", lambda p: genuine(p) + QPoly.monomial(3))
+
+
+def _dq_negated(monkeypatch):
+    # the numerator map behind QPoly.weighted_dq and the Dq chain of WeylOperator.apply
+    _wrap(monkeypatch, spinor_mod, "_dq", lambda v, _: tuple(-x for x in v))
+
+
 def _negated(obj, slot):
     """obj with the generator of slot replaced by its negative: each term times (-1)^power."""
     if isinstance(obj, Spinor):
@@ -286,6 +297,8 @@ FAULTS = [
     (_scalar_action_doubled, "casimir.scalar"),
     (_rank_plus_one, "oracle.recursion-vs-linear"),
     (_twistor_basis_first_doubled, "twistor-basis.annihilation"),
+    (_weighted_dq_plus_q3, "holomorphic.ode"),
+    (_dq_negated, "holomorphic.ode"),
     (_wrong_y_form, "zbasis.xs"),
     (_wrong_y_form, "weyl.roundtrip"),
     (_wrong_dx_form, "zbasis.ds"),
@@ -293,6 +306,14 @@ FAULTS = [
     (_wrong_z_form, "weyl.roundtrip"),
     (_wrong_z_form, "monogenic-minus.displays"),
 ]
+
+
+def test_suite_names_are_the_registered_suites_in_order_then_all(monkeypatch):
+    assert verify_mod.suite_names() == ["algebra", "kernels", "combinatorics", "all"]
+    extra = verify_mod.Check("demo.extra", "demo anchor", "demo", None, lambda: None)
+    monkeypatch.setattr(verify_mod, "_CHECKS", [*verify_mod._CHECKS, extra])
+    assert verify_mod.suite_names() == ["algebra", "kernels", "combinatorics", "demo", "all"]
+    assert [r.id for r in verify_mod.run_suite("demo").results] == ["demo.extra"]
 
 
 def _run_one(check_id):

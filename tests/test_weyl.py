@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
+from symtwistor.kernels import linear_combination
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisMismatchError, BasisTag, WeylOperator
 
@@ -124,6 +126,26 @@ def test_composition_past_the_degree_limit_is_refused():
     assert len((dx**64 * x**64).terms) == 65  # at the limit it composes
 
 
+def test_a_power_past_the_degree_limit_is_refused_before_any_composition(monkeypatch):
+    dx64 = gen("dx") ** 64
+    two = WeylOperator.scalar(XY, 2)
+    calls = []
+    genuine = WeylOperator.compose
+    monkeypatch.setattr(WeylOperator, "compose", lambda a, b: calls.append(1) or genuine(a, b))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^product reaches degree 129, above 128$"):
+        gen("x") ** 129
+    with pytest.raises(ValueError, match="^product reaches degree 192, above 128$"):
+        dx64**64  # the third step is the first past the limit
+    with pytest.raises(ValueError, match="^degree-0 power has exponent 1000000000, above 128$"):
+        two ** 10**9
+    with pytest.raises(ValueError, match="^degree-0 power has exponent 129, above 128$"):
+        WeylOperator.zero(XY).powers(129)
+    assert calls == [] and time.perf_counter() - start < 1
+    assert two**128 == WeylOperator.scalar(XY, 2**128)  # at the limit the walk runs
+    assert len(calls) == 128
+
+
 def test_composition_past_the_term_limit_is_refused():
     w = gen("x") + gen("y") + gen("q") + gen("dx") + gen("dy") + gen("dq")
     message = "^product needs more than 20000 terms$"
@@ -142,6 +164,22 @@ def test_basis_mismatch_rejected():
         x + z
     with pytest.raises(BasisMismatchError):
         x.compose(z)
+
+
+def _spinor(basis):
+    return Spinor.monomial(basis, 1, 0, QPoly([1]))
+
+
+@pytest.mark.parametrize("combine", [
+    lambda: gen("x") + gen("z", ZZ),
+    lambda: gen("x").compose(gen("z", ZZ)),
+    lambda: gen("x").apply(_spinor(ZZ)),
+    lambda: _spinor(XY) + _spinor(ZZ),
+    lambda: linear_combination([G(1), G(2)], [_spinor(XY), _spinor(ZZ)]),
+], ids=["operator +", "compose", "apply", "spinor +", "linear_combination"])
+def test_every_basis_mismatch_has_the_one_message(combine):
+    with pytest.raises(BasisMismatchError, match="^bases differ: xy vs zzbar$"):
+        combine()
 
 
 def test_change_basis_on_generators():
