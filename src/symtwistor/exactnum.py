@@ -214,15 +214,6 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return value
 
 
-def _sub_mul(x: GaussianRational, f: GaussianRational, v: GaussianRational) -> GaussianRational:
-    """x - f*v, reduced once: the row update of an elimination step."""
-    a, b, c, e = f._a, f._b, v._a, v._b
-    re, im, d, g = a * c - b * e, a * e + b * c, f._d * v._d, x._d
-    if d == g:
-        return _make(x._a - re, x._b - im, d)
-    return _make(x._a * d - re * g, x._b * d - im * g, g * d)
-
-
 # ---- rendering: every output format is one row of this table ----
 
 class _Style(NamedTuple):

@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .exactnum import I, ONE, ZERO, GaussianRational, _make, _sub_mul
+from .exactnum import I, ONE, ZERO, GaussianRational, _make
 from .weyl import BasisTag, WeylOperator, _require_same_basis
 from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
 from .operators import _get_or_build, named_operator
@@ -472,19 +472,17 @@ def kernel_linear_solve(
 def _eliminate(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     """Reduced row echelon form: (rows, {pivot column: its row}).
 
-    Rows are dicts {column: value} of their nonzero entries. Columns are
-    taken in order; the pivot is the sparsest unused row nonzero in the
-    column, the lowest index on a tie (Markowitz). The reduced row echelon
-    form is unique, so this choice changes no pivot column and no row. The
-    pivot row is normalised and subtracted from the other rows of its column.
+    Rows are dicts {column: (a, b, d)} of their nonzero entries, the reduced triples of
+    GaussianRational. Columns are taken in order; the pivot is the sparsest unused row
+    nonzero in the column, the lowest index on a tie (Markowitz). The reduced row echelon
+    form is unique, so this choice changes no pivot column and no row. The pivot row is
+    normalised and subtracted from the other rows of its column in ints, reduced as in _make.
     """
-    rows: List[Dict[int, GaussianRational]] = [{} for _ in range(nrows)]
-    rows_of_col: List[set] = []
-    for j, column in enumerate(columns):
-        nonzero = {i for i, v in enumerate(column) if v}
+    rows: List[Dict[int, Tuple[int, int, int]]] = [{} for _ in range(nrows)]
+    rows_of_col = [{i for i, v in enumerate(column) if v._a or v._b} for column in columns]
+    for j, (column, nonzero) in enumerate(zip(columns, rows_of_col)):
         for i in nonzero:
-            rows[i][j] = column[i]
-        rows_of_col.append(nonzero)
+            rows[i][j] = (column[i]._a, column[i]._b, column[i]._d)
     pivot_of_col: Dict[int, int] = {}
     used = set()
     for col, holders in enumerate(rows_of_col):
@@ -492,15 +490,23 @@ def _eliminate(columns: Sequence[Sequence[GaussianRational]], nrows: int):
         if not candidates:
             continue
         p = min(candidates, key=lambda r: (len(rows[r]), r))
-        inv = rows[p][col].inverse()
-        pivot = rows[p] = {j: v * inv for j, v in rows[p].items()}
+        a, b, d = rows[p][col]  # dividing by (a + b*i)/d multiplies by d*(a - b*i)/(a*a + b*b)
+        pivot = {}
+        for j, (c, e, f) in rows[p].items():
+            re, im, den = d * (c * a + e * b), d * (e * a - c * b), f * (a * a + b * b)
+            g = gcd(re, im, den)
+            pivot[j] = (re // g, im // g, den // g)
+        rows[p] = pivot
         for r in holders - {p}:
             row = rows[r]
-            factor = row[col]
-            for j, v in pivot.items():
-                new = _sub_mul(row.get(j, ZERO), factor, v)
-                if new:
-                    row[j] = new
+            fa, fb, fd = row[col]
+            for j, (c, e, f) in pivot.items():  # row[j] - factor * pivot[j]
+                xa, xb, xd = row.get(j, (0, 0, 1))
+                d = fd * f
+                re, im, d = xa * d - (fa * c - fb * e) * xd, xb * d - (fa * e + fb * c) * xd, xd * d
+                if re or im:
+                    g = gcd(re, im, d) if d != 1 else 1
+                    row[j] = (re // g, im // g, d // g)
                     rows_of_col[j].add(r)
                 else:
                     del row[j]
@@ -518,14 +524,13 @@ def nullspace(columns: Sequence[Sequence[GaussianRational]], nrows: int):
     """
     ncols = len(columns)
     rows, pivot_of_col = _eliminate(columns, nrows)
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
     vectors = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivot_of_col):
         vec = [ZERO] * ncols
         vec[fc] = ONE
         for pc, pr in pivot_of_col.items():
-            if fc in rows[pr]:
-                vec[pc] = -rows[pr][fc]
+            if (t := rows[pr].get(fc)) is not None:
+                vec[pc] = _make(-t[0], -t[1], t[2])
         vectors.append(vec)
     return vectors
 

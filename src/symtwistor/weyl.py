@@ -99,12 +99,13 @@ def _contractions(d: int, a: int) -> tuple:
 
 
 class WeylOperator:
-    __slots__ = ("basis", "terms", "_plan")
+    __slots__ = ("basis", "terms", "_plan", "_hash")
 
     def __init__(self, basis: BasisTag, terms: Mapping[Monomial, GaussianRational]):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _clean_terms(terms))
         object.__setattr__(self, "_plan", None)  # spinor._plan builds it on the first apply
+        object.__setattr__(self, "_hash", None)  # __hash__ computes it on the first call
 
     def __setattr__(self, name, value):
         raise AttributeError("WeylOperator is immutable")
@@ -287,7 +288,9 @@ class WeylOperator:
         return self.basis is other.basis and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.basis, frozenset(self.terms.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.basis, frozenset(self.terms.items()))))
+        return self._hash
 
     def _render(self, style: _Style) -> str:
         names = (GENERATOR_LATEX if style is _LATEX else GENERATOR_NAMES)[self.basis]

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import symtwistor
-from symtwistor.exactnum import G, GaussianRational, I, MINUS_I, ONE, ZERO, _sub_mul
+from symtwistor.exactnum import G, GaussianRational, I, MINUS_I, ONE, ZERO
 
 
 gaussians = st.builds(
@@ -284,11 +284,6 @@ def test_ring_operations_match_the_model(x, y):
     assert agrees(gx * r, m_mul(x, (r, 0))) and agrees(r * gx, m_mul(x, (r, 0)))
     n = r.numerator
     assert agrees(gx * n, m_mul(x, (n, 0))) and agrees(n * gx, m_mul(x, (n, 0)))
-
-
-@given(pairs, pairs, pairs)
-def test_fused_sub_mul_matches_the_model(x, f, v):
-    assert agrees(_sub_mul(G(*x), G(*f), G(*v)), m_sub(x, m_mul(f, v)))
 
 
 @given(pairs, nonzero_pairs, st.integers(min_value=-6, max_value=6))

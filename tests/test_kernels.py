@@ -1,14 +1,16 @@
 import hashlib
 import json
+import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symtwistor import kernels as kernels_mod
-from symtwistor.exactnum import G, MINUS_I
+from symtwistor.exactnum import G, MINUS_I, GaussianRational, _make
 from symtwistor.kernels import (
     HoweComponent,
     NonHomogeneousError,
@@ -242,6 +244,18 @@ def test_unit_fill_cache_follows_a_rebound_registry_operator(monkeypatch):
     monkeypatch.undo()
     assert recursion_span(kind, m, qmax) == span
     assert solve_recursion(kind, m, QPoly(), qmax).to_json() == family.to_json()
+
+
+def test_equal_operators_built_apart_share_one_unit_fill():
+    kind, m, qmax, slot = RecursionKind.DS_EVEN, 2, 6, (0, 0)
+    a = operator_for_kind(kind)
+    b = WeylOperator(a.basis, dict(a.terms))
+    assert a is not b and a == b and hash(a) == hash(b)
+    kernels_mod._unit_fill.cache_clear()
+    assert kernels_mod._unit_fill(a, kind, m, qmax, slot) is kernels_mod._unit_fill(
+        b, kind, m, qmax, slot)
+    info = kernels_mod._unit_fill.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
 
 
 def _reference_fill(kind, m, qmax, inputs):
@@ -601,15 +615,16 @@ _sparse_entries = st.builds(
 
 @st.composite
 def _sparse_matrices(draw):
-    """(columns, nrows): mostly zero entries, zero columns, and dependent columns."""
+    """(columns, nrows): mostly zero entries, dense, zero and dependent columns."""
     nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 8))
     columns = []
     for j in range(ncols):
-        shape = draw(st.sampled_from(["random", "zero", "combination"]))
+        shape = draw(st.sampled_from(["random", "dense", "zero", "combination"]))
         if shape == "zero" or (shape == "combination" and j < 2):
             columns.append([G(0)] * nrows)
-        elif shape == "random":
-            columns.append(draw(st.lists(_sparse_entries, min_size=nrows, max_size=nrows)))
+        elif shape in ("random", "dense"):
+            entries = _sparse_entries if shape == "random" else st.builds(G, _rationals, _rationals)
+            columns.append(draw(st.lists(entries, min_size=nrows, max_size=nrows)))
         else:
             a, b = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
             c = G(draw(_rationals), draw(_rationals))
@@ -617,15 +632,19 @@ def _sparse_matrices(draw):
     return columns, nrows
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_sparse_matrices())
 def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
     columns, nrows = matrix
     ncols = len(columns)
     pivots, reduced = _dense_rref(columns, nrows)
     rows, pivot_of_col = kernels_mod._eliminate(columns, nrows)
+    # every stored entry is the reduced nonzero triple (a, b, d) of (a + b*i)/d
+    assert all((a or b) and d > 0 and gcd(a, b, d) == 1
+               for row in rows for a, b, d in row.values())
     assert sorted(pivot_of_col) == pivots
-    dense = [[rows[pivot_of_col[c]].get(j, G(0)) for j in range(ncols)] for c in pivots]
+    dense = [[_make(*rows[pivot_of_col[c]].get(j, (0, 0, 1))) for j in range(ncols)]
+             for c in pivots]
     assert dense == reduced
     assert all(not row for r, row in enumerate(rows) if r not in pivot_of_col.values())
     expected = []
@@ -637,6 +656,28 @@ def test_sparse_elimination_matches_dense_gauss_jordan(matrix):
         expected.append(vec)
     assert nullspace(columns, nrows) == expected
     assert rank(columns, nrows) == len(pivots)
+
+
+def test_elimination_builds_scalars_only_for_the_nullspace_entries(monkeypatch):
+    rng = random.Random(7)
+    nrows, ncols = 6, 9
+    columns = [[G(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-9, 9))
+                for _ in range(nrows)] for _ in range(ncols)]
+    expected_rank, expected = rank(columns, nrows), nullspace(columns, nrows)
+
+    def refuse(*args):
+        raise AssertionError("elimination computed with GaussianRational objects")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__neg__", "__add__", "__sub__", "inverse"):
+        monkeypatch.setattr(GaussianRational, name, refuse)
+    made = []
+    genuine = kernels_mod._make
+    monkeypatch.setattr(kernels_mod, "_make", lambda *t: made.append(t) or genuine(*t))
+    assert rank(columns, nrows) == expected_rank and not made
+    vectors = nullspace(columns, nrows)
+    assert vectors == expected
+    # one _make per returned pivot entry; the free entry is the shared ONE
+    assert len(made) == sum(1 for vec in vectors for v in vec if v) - len(vectors) > 0
 
 
 def test_kernel_linear_solve_parity_filter():

@@ -207,6 +207,15 @@ def _apply_to_vacuum(op):
     return op.apply(Spinor.monomial(op.basis, 0, 0, QPoly([1])))
 
 
+def test_hash_is_kept_and_unchanged_by_the_apply_plan():
+    op = gen("x") * gen("dq") + gen("q") * 3
+    first = hash(op)
+    assert op._hash == first and op._plan is None
+    _apply_to_vacuum(op)
+    assert op._plan is not None and hash(op) == first
+    assert hash(WeylOperator(XY, dict(op.terms))) == first
+
+
 def test_apply_weighted_q_derivative():
     # stored action of dq is (d/dq - q): on the constant it yields -q
     out = _apply_to_vacuum(gen("dq"))
