@@ -213,10 +213,11 @@ def _sum(p: QPoly, r: QPoly, sign: int) -> QPoly:
     return _canonical(re, im, d)
 
 
-def _dq(v: tuple) -> tuple:
-    """Numerators of p' - q*p: entry k is (k+1)*v[k+1] - v[k-1], k = 0 .. len(v)."""
-    weights = range(1, len(v) + 2)
-    return tuple([k * x - y for k, x, y in zip(weights, v[1:] + (0, 0), (0,) + v)])
+def _dq(v: tuple, lo: int = 0) -> tuple:
+    """Numerators of p' - q*p from q^max(lo-1, 0), for v[j] the numerator of q^(lo+j) in p."""
+    s = min(lo, 1)  # 1 when the result starts below the window, at q^(lo-1)
+    weights = range(lo + 1 - s, lo + len(v) + 2)  # entry of q^e: (e+1)*c[e+1] - c[e-1]
+    return tuple([k * x - y for k, x, y in zip(weights, v[1 - s:] + (0, 0), (0,) * (1 + s) + v)])
 
 
 def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
@@ -296,19 +297,18 @@ def _plan(op: WeylOperator) -> tuple:
 def _grow(rows: list, terms: list, n: int) -> None:
     """Extend a group's rows to n rows, each built straight from q^k.
 
-    Each term (qc, f, ca, cb) takes q^k through f weighted-Dq steps, q^j -> j*q^(j-1) -
-    q^(j+1), and adds (ca + i*cb)*q^qc times the result; f sums to at most len(terms).
+    Each term (qc, f, ca, cb) adds (ca + i*cb)*q^qc times Dq^f q^k; f sums to at most
+    len(terms). The levels Dq^g q^k are _dq windows, shared by the group's terms.
     """
     for k in range(len(rows), n):
-        row: dict = {}  # j -> (re, im) of q^j
+        row, levels = {}, [(1,)]  # j -> (re, im) of q^j; Dq^g q^k from q^max(k-g, 0)
         for qc, f, ca, cb in terms:
-            level = {k: 1}  # Dq^g q^k; its exponents share one parity, and the next
-            for _ in range(f):  # step's run from |min - 1| (1 when min is 0) to max + 1
-                level = {j: (j + 1) * level.get(j + 1, 0) - level.get(j - 1, 0)
-                         for j in range(abs(min(level) - 1), max(level) + 2, 2)}
-            for j, x in level.items():
-                ra, rb = row.get(j + qc, (0, 0))
-                row[j + qc] = (ra + x * ca, rb + x * cb)
+            while len(levels) <= f:
+                levels.append(_dq(levels[-1], max(k + 1 - len(levels), 0)))
+            for j, x in enumerate(levels[f], max(k - f, 0) + qc):
+                if x:
+                    ra, rb = row.get(j, (0, 0))
+                    row[j] = (ra + x * ca, rb + x * cb)
         rows.append([(j, x, y) for j, (x, y) in row.items() if x or y])
 
 

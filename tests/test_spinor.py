@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symtwistor.spinor as spinor_mod
 from symtwistor.exactnum import G, I
 from symtwistor.kernels import howe_decompose, monogenic_plus
 from symtwistor.operators import named_operator
@@ -327,6 +329,69 @@ def test_qpoly_equality_and_hash_are_coefficientwise(a, b):
     same = QPoly(list(a) + [G(0), G(0)]).scale(3).scale(Fraction(1, 3))
     assert same == p and hash(same) == hash(p) and same.coeffs == p.coeffs
     assert (p - p).coeffs == () and hash(p - p) == hash(QPoly())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=8).map(tuple),
+       st.integers(min_value=0, max_value=40))
+def test_dq_window_matches_coefficientwise_reference(v, lo):
+    # v[j] is the numerator of q^(lo+j); the result starts at q^max(lo-1, 0)
+    c = dict(enumerate(v, lo))
+    want = tuple((e + 1) * c.get(e + 1, 0) - c.get(e - 1, 0)
+                 for e in range(max(lo - 1, 0), lo + len(v) + 1))
+    assert spinor_mod._dq(v, lo) == want
+
+
+def sparse_rows(terms, n):
+    """Rows 0..n-1, each term walking q^k through f sparse steps q^j -> j*q^(j-1) - q^(j+1)."""
+    rows = []
+    for k in range(n):
+        row = {}
+        for qc, f, ca, cb in terms:
+            level = {k: 1}  # Dq^g q^k; its exponents share one parity
+            for _ in range(f):
+                level = {j: (j + 1) * level.get(j + 1, 0) - level.get(j - 1, 0)
+                         for j in range(abs(min(level) - 1), max(level) + 2, 2)}
+            for j, x in level.items():
+                ra, rb = row.get(j + qc, (0, 0))
+                row[j + qc] = (ra + x * ca, rb + x * cb)
+        rows.append({j: (x, y) for j, (x, y) in row.items() if x or y})
+    return rows
+
+
+small = st.integers(min_value=-5, max_value=5)
+# a group's terms (qc, f, ca, cb), with Dq order f <= 4
+group_terms = st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                                 st.integers(min_value=0, max_value=4), small, small),
+                       min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_terms, st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=41))
+def test_grown_rows_match_per_term_sparse_levels(terms, k, first):
+    rows = []
+    spinor_mod._grow(rows, terms, min(first, k + 1))  # grown in two steps, as inputs reach further
+    spinor_mod._grow(rows, terms, k + 1)
+    assert [{j: (x, y) for j, x, y in row} for row in rows] == sparse_rows(terms, k + 1)
+    for row in rows:
+        assert len({j for j, _, _ in row}) == len(row) and all(x or y for _, x, y in row)
+
+
+def test_rows_grow_from_the_window_of_q_k(monkeypatch):
+    # dx - q*dq*dx is one row group of Dq order f = 1: each row takes one _dq step, on a
+    # window of at most 2f + 1 numerators, not on the dense tuple of q^k
+    genuine, widths = spinor_mod._dq, []
+
+    def recorded(v, lo=0):
+        if sys._getframe(1).f_code.co_name == "_grow":
+            widths.append(len(v))
+        return genuine(v, lo)
+
+    monkeypatch.setattr(spinor_mod, "_dq", recorded)
+    op = parse_operator("dx - q*dq*dx + i*q^2*dy")
+    s = Spinor(XY, {(1, 1): QPoly(range(1, 514)), (2, 1): QPoly.monomial(512, 3)})
+    assert op.apply(s) == reference_apply(op, s)
+    assert len(widths) == 513 and max(widths) <= 3
 
 
 @st.composite

@@ -217,8 +217,12 @@ def _weighted_dq_plus_q3(monkeypatch):
 
 
 def _dq_negated(monkeypatch):
-    # the numerator map behind QPoly.weighted_dq and the Dq chain of WeylOperator.apply
-    _wrap(monkeypatch, spinor_mod, "_dq", lambda v, _: tuple(-x for x in v))
+    """The numerator map behind QPoly.weighted_dq and the Dq chain and rows of apply, negated.
+
+    The registry cache is emptied, so no rows grown before the fault hide it.
+    """
+    _wrap(monkeypatch, spinor_mod, "_dq", lambda v, *_: tuple(-x for x in v))
+    monkeypatch.setattr(operators, "_BUILT", {})
 
 
 def _negated(obj, slot):
@@ -299,6 +303,9 @@ FAULTS = [
     (_twistor_basis_first_doubled, "twistor-basis.annihilation"),
     (_weighted_dq_plus_q3, "holomorphic.ode"),
     (_dq_negated, "holomorphic.ode"),
+    (_dq_negated, "ladder.constants"),
+    (_dq_negated, "howe.roundtrip"),
+    (_dq_negated, "twistor-basis.annihilation"),
     (_wrong_y_form, "zbasis.xs"),
     (_wrong_y_form, "weyl.roundtrip"),
     (_wrong_dx_form, "zbasis.ds"),
