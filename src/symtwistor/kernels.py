@@ -395,12 +395,12 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
     """Write s = sum_j X_s^j m_j with every m_j in the Dirac kernel.
 
     Peels the chain s, D_s s, D_s^2 s, ... from its last nonzero (monogenic)
-    entry up. D_s lowers the position degree by one, so the chain has at
-    most l + 1 entries; a longer one raises ArithmeticError. A pair
-    (m, X_s^p m) of the layer below becomes m/c at power p+1, c its ladder
-    constant, with image X_s (X_s^p m)/c: one raising step per component
-    and layer. What the images leave of a chain entry is its
-    power-0 component, listed first. Independent guard: reassemble must give s.
+    entry up. One level down, each layer m at power p becomes m/c at power
+    p+1, c its ladder constant, and what the Horner sum reassemble of the
+    raised layers leaves of the chain entry is its power-0 layer, listed
+    first. Three guards raise ArithmeticError: a chain longer than l + 1
+    entries (D_s lowers the position degree by one), a power-0 remainder
+    outside the Dirac kernel, and a final reassemble that does not give s.
     """
     if s.is_zero():
         return []
@@ -416,20 +416,17 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
                 f"D_s chain of a degree-{l} spinor did not end within {l + 1} steps")
         chain.append(image)
     top = len(chain) - 1
-    pairs = [(HoweComponent(l - top, 0, chain[top]), chain[top])]
+    components = [HoweComponent(l - top, 0, chain[top])]
     for level in range(top - 1, -1, -1):
-        lower, pairs, remainder = pairs, [], chain[level]
-        for comp, low_lifted in lower:
-            j = comp.power + 1
-            inv = ladder_constant(comp.homogeneity, j).inverse()
-            lifted = xs.apply(low_lifted).scale(inv)
-            pairs.append((HoweComponent(comp.homogeneity, j, comp.monogenic.scale(inv)), lifted))
-            remainder = remainder - lifted
+        components = [
+            HoweComponent(h, p + 1, m.scale(ladder_constant(h, p + 1).inverse()))
+            for h, p, m in components
+        ]
+        remainder = chain[level] - reassemble(components, xs)
         if not remainder.is_zero():
             if not ds.apply(remainder).is_zero():
                 raise ArithmeticError("peeling left a non-monogenic remainder")
-            pairs.insert(0, (HoweComponent(l - level, 0, remainder), remainder))
-    components = [comp for comp, _ in pairs]
+            components.insert(0, HoweComponent(l - level, 0, remainder))
     if reassemble(components, xs) != s:
         raise ArithmeticError("decomposition failed to reconstruct the input")
     return components

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -433,6 +435,41 @@ def test_decompose_mixed_homogeneity_splits(tmp_path, capsys):
     data = json.loads(out)
     degrees = [(c["homogeneity"], c["power"]) for c in data["components"]]
     assert degrees == [(0, 0), (1, 0), (0, 1)]
+
+
+def _dense_spinor(basis, l):
+    """Every (e1, l - e1) with q^0..q^6, coefficients Gaussian rationals from a fixed formula."""
+    return Spinor(basis, {
+        (e1, l - e1): QPoly([G(Fraction((3 * e1 + 5 * k + 1) % 11 - 5, 1 + (e1 + 2 * k) % 4),
+                               Fraction((7 * e1 + 2 * k) % 9 - 4, 1 + (2 * e1 + k) % 3))
+                             for k in range(7)])
+        for e1 in range(l + 1)})
+
+
+# sha256 of `decompose` output; a layer at every power 0..l in both inputs
+DECOMPOSE_SHA256 = {
+    (XY, 6): {
+        "text": "12a68dca9be174ca810f1cabc3b3792b9d869c4339e9cd1904895c0fec329224",
+        "json": "28a63292e201388639d3df62d856bf1da9fd8214e1c3cc45504593ca7e58198b",
+        "latex": "731bd476dddf8f8d6a2b34038ced6b9386014e6fa0610df56827354d34d04617",
+    },
+    (ZZ, 5): {
+        "text": "6d5bda14f897e5e48258130568a46dd09f414b176ef73ab5b09487f4248d6b35",
+        "json": "60f16b9528ccd2e4e68184149699041650da28184c6fae06216ad15fb9050a71",
+        "latex": "ce4d0dc5d6e4b2fd34277077ed785b6aea98278d82743937b4481711590503c9",
+    },
+}
+
+
+@pytest.mark.parametrize("basis, l", list(DECOMPOSE_SHA256), ids=["xy-6", "zzbar-5"])
+def test_decompose_output_is_pinned(tmp_path, capsys, basis, l):
+    path = write_spinor(tmp_path, _dense_spinor(basis, l))
+    got = {}
+    for fmt in ("text", "json", "latex"):
+        code, out, _ = run(capsys, "decompose", path, "--format", fmt)
+        assert code == 0
+        got[fmt] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert got == DECOMPOSE_SHA256[(basis, l)]
 
 
 def test_solver_guard_error_is_one_line_exit_1(tmp_path, capsys, monkeypatch):

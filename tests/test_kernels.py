@@ -508,6 +508,40 @@ def test_reassemble_treats_a_missing_power_as_zero(basis):
     assert reassemble([], xs) == Spinor.zero(basis)
 
 
+def _counting(monkeypatch, owner, name):
+    """A list that gets one entry per call of owner.<name> from here on."""
+    calls = []
+    genuine = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(name)
+        return genuine(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("basis", [XY, ZZ])
+def test_howe_decompose_lifts_layers_only_through_reassemble(basis, monkeypatch):
+    l = 6
+    s = Spinor(basis, {
+        (e1, l - e1): QPoly([G(Fraction((3 * e1 + 5 * k + 1) % 11 - 5, 1 + (e1 + 2 * k) % 4),
+                               Fraction((7 * e1 + 2 * k) % 9 - 4, 1 + (2 * e1 + k) % 3))
+                             for k in range(7)])
+        for e1 in range(l + 1)})
+    expected = howe_decompose(s)  # builds the operators and the ladder scale outside the count
+    assert [c.power for c in expected] == list(range(l + 1))
+    applies = _counting(monkeypatch, WeylOperator, "apply")
+    reassembles = _counting(monkeypatch, kernels_mod, "reassemble")
+    scales = _counting(monkeypatch, Spinor, "scale")
+    assert howe_decompose(s) == expected
+    # applies: 7 for the D_s chain, 1+2+...+6 = 21 for the Horner lifts of the six levels
+    # below the top, 6 remainder guards and 6 for the final reassemble
+    assert len(applies) == 7 + 21 + 6 + 6
+    # one reassemble per level below the top and the final guard; one scale per raised layer
+    assert (len(reassembles), len(scales)) == (l + 1, 21)
+
+
 _small_gaussians = st.builds(G, st.integers(-3, 3), st.integers(-3, 3))
 
 

@@ -195,6 +195,16 @@ def _ladder_constant_doubled(monkeypatch):
     _wrap(monkeypatch, ker, "ladder_constant", lambda c, l, j: c * 2)
 
 
+def _reassemble_drops_top_layer(monkeypatch):
+    genuine = ker.reassemble
+
+    def dropped(comps, xs):
+        top = max((c.power for c in comps), default=0)
+        return genuine([c for c in comps if c.power != top], xs)
+
+    monkeypatch.setattr(ker, "reassemble", dropped)
+
+
 def _minus_exclusion_plus_one(monkeypatch):
     _wrap(monkeypatch, ker, "verify_minus_exclusion", lambda c, m: c + 1)
 
@@ -297,6 +307,8 @@ FAULTS = [
     (_rho_h_plus_q, "cross.xs-rhoH"),
     (_rho_h_plus_q, "cross.ds-rhoH"),
     (_ladder_constant_doubled, "ladder.constants"),
+    (_ladder_constant_doubled, "howe.roundtrip"),
+    (_reassemble_drops_top_layer, "howe.roundtrip"),
     (_minus_exclusion_plus_one, "minus-exclusion.values"),
     (_scalar_action_doubled, "casimir.scalar"),
     (_rank_plus_one, "oracle.recursion-vs-linear"),
@@ -358,6 +370,15 @@ def test_sweeps_walk_each_power_and_raising_chain_once(monkeypatch):
     assert _run_one("exclusion.sweep").status == "pass"
     # 8 raising steps for each of 5 degrees m, and one twistor apply per (n, m)
     assert len(applies) <= 75
+
+
+@pytest.mark.parametrize("plant", [_ladder_constant_doubled, _reassemble_drops_top_layer])
+def test_a_peel_fault_is_caught_at_its_level(monkeypatch, plant):
+    # every level below the top reads the ladder constant and reassemble, so the
+    # per-level D_s guard fires before the final reassembly guard
+    plant(monkeypatch)
+    assert _run_one("howe.roundtrip").witness == (
+        "ArithmeticError: peeling left a non-monogenic remainder")
 
 
 @pytest.mark.parametrize(
