@@ -442,20 +442,30 @@ def kernel_linear_solve(
 
     Plain nullspace computation over Q(i); kind is None because no
     recursion family is involved. parity optionally restricts the
-    coefficient space to even or odd powers of q.
+    coefficient space to even or odd powers of q. The unknowns are the
+    coefficients of the monomial units (position key, q^k), so entry c of a
+    nullspace vector is the coefficient at unit c: each basis spinor is read
+    straight from its vector, with no recombination of the units.
     """
     if m < 0 or qmax < 0:
         raise ValueError("m and qmax must be nonnegative")
     if parity not in (None, EVEN, ODD):
         raise ValueError(f"parity must be None, {EVEN!r} or {ODD!r}, got {parity!r}")
     units = [
-        Spinor.monomial(op.basis, e1, m - e1, QPoly.monomial(k))
+        ((e1, m - e1), k)
         for e1 in range(m + 1)
         for k in range(qmax + 1)
         if parity is None or (k % 2 == 0) == (parity == EVEN)
     ]
-    columns, nrows = spinor_columns([op.apply(unit) for unit in units])
-    basis = [linear_combination(vec, units) for vec in nullspace(columns, nrows)]
+    one = QPoly([1])
+    images = [op.apply(Spinor(op.basis, {key: one.shift(k)})) for key, k in units]
+    basis = []
+    for vec in nullspace(*spinor_columns(images)):
+        rows: Dict[Tuple[int, int], list] = {}  # key -> [(q-power, re, im, d)], powers ascending
+        for (key, k), c in zip(units, vec):
+            if c._a or c._b:
+                rows.setdefault(key, []).append((k, c._a, c._b, c._d))
+        basis.append(Spinor(op.basis, {key: _from_terms(row) for key, row in rows.items()}))
     return KernelFamily(
         homogeneity=m,
         kind=None,

@@ -67,8 +67,9 @@ class QPoly:
 
     @property
     def coeffs(self) -> Tuple[GaussianRational, ...]:
+        """Every coefficient, k ascending; a zero one is the shared ZERO, built without a gcd."""
         d = self._d
-        return tuple(_make(a, b, d) for a, b in zip(self._re, self._im))
+        return tuple(_make(a, b, d) if a or b else ZERO for a, b in zip(self._re, self._im))
 
     def nonzero_terms(self) -> Iterator[Tuple[int, GaussianRational]]:
         """(k, coefficient of q^k) for each nonzero coefficient, k ascending."""

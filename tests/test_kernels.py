@@ -602,6 +602,42 @@ def test_ts_linear_kernels_match_the_recorded_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == TS_LINEAR_DIGEST
 
 
+# sha256 of json.dumps(bases, sort_keys=True) for the oracle's parity-restricted solves,
+# kernel_linear_solve(operator_for_kind(kind), m, qdeg, parity=kind.parity) for every kind
+# and m <= 5, recorded while each basis spinor was still recombined from unit spinors
+PARITY_LINEAR_DIGEST = "4254ba64107acf0afda634b730b5b590f013607e08d248360d3b29afaa556621"
+
+
+def test_parity_restricted_linear_kernels_match_the_recorded_digest():
+    families = []
+    for kind in RecursionKind:
+        for m in range(6):
+            qdeg = 2 * m + 4 + (1 if kind.parity == ODD else 0)
+            families.append(kernel_linear_solve(
+                operator_for_kind(kind), m, qdeg, parity=kind.parity).to_json())
+    text = json.dumps(families, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PARITY_LINEAR_DIGEST
+
+
+def test_kernel_linear_solve_reads_its_basis_from_one_dense_nullspace(monkeypatch):
+    calls = []
+    genuine = kernels_mod.nullspace
+
+    def spy(columns, nrows):
+        calls.append(all(len(col) == nrows and all(isinstance(v, GaussianRational) for v in col)
+                         for col in columns))
+        return genuine(columns, nrows)
+
+    def refuse(*args):
+        raise AssertionError("kernel_linear_solve recombined its units")
+
+    ts_z = named_operator("ts", ZZ)
+    want = kernel_linear_solve(ts_z, 3, 11)
+    monkeypatch.setattr(kernels_mod, "nullspace", spy)
+    monkeypatch.setattr(kernels_mod, "linear_combination", refuse)
+    assert kernel_linear_solve(ts_z, 3, 11) == want and calls == [True]
+
+
 @pytest.mark.parametrize("kind", list(RecursionKind))
 def test_recursion_span_equals_the_linear_kernel_for_m_5_to_8(kind):
     for label, got, want in verify._recursion_vs_linear_rows([kind], range(5, 9)):
@@ -613,6 +649,7 @@ def test_same_span_compares_spaces_not_bases():
     assert same_span([a, b], [a + b, a.scale(G(2)) - b])
     assert not same_span([a, b, a + b], [a, b])
     assert not same_span([a], [a, b])
+    assert not same_span([a], [b])  # equal lengths, different spans
     assert same_span([], [])
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symtwistor.spinor as spinor_mod
-from symtwistor.exactnum import G, I
+from symtwistor.exactnum import ZERO, G, I
 from symtwistor.kernels import howe_decompose, monogenic_plus
 from symtwistor.operators import named_operator
 from symtwistor.parsing import parse_operator
@@ -35,6 +35,17 @@ def test_qpoly_coefficient_out_of_range_is_zero():
     p = QPoly([1, 2])
     assert p.coefficient(5) == G(0)
     assert p.coefficient(1) == 2
+
+
+def test_qpoly_coeffs_zero_entries_are_the_shared_zero():
+    p = QPoly([Fraction(1, 6), 0, G(0, Fraction(2, 3)), 0, 0, G(Fraction(-5, 2), 1)])
+    assert p._d == 6
+    assert p.coeffs == tuple(p.coefficient(k) for k in range(6))
+    zeros = [c for c in p.coeffs if c.is_zero()]
+    assert len(zeros) == 3 and all(c._d == 1 and c is ZERO for c in zeros)
+    # recorded before zero entries were shared
+    assert p.to_json() == [[1, 6, 0, 1], [0, 1, 0, 1], [0, 1, 2, 3],
+                           [0, 1, 0, 1], [0, 1, 0, 1], [-5, 2, 1, 1]]
 
 
 def test_qpoly_arithmetic():
