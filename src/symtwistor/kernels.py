@@ -29,7 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import I, ONE, ZERO, GaussianRational, _make
 from .weyl import BasisTag, WeylOperator, _require_same_basis
-from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms
+from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms, _unit_columns
 from .operators import _get_or_build, named_operator
 
 
@@ -398,9 +398,10 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
     entry up. One level down, each layer m at power p becomes m/c at power
     p+1, c its ladder constant, and what the Horner sum reassemble of the
     raised layers leaves of the chain entry is its power-0 layer, listed
-    first. Three guards raise ArithmeticError: a chain longer than l + 1
-    entries (D_s lowers the position degree by one), a power-0 remainder
-    outside the Dirac kernel, and a final reassemble that does not give s.
+    first. Two guards raise ArithmeticError: a chain longer than l + 1
+    entries (D_s lowers the position degree by one), and a power-0 remainder
+    outside the Dirac kernel. Level 0 takes its remainder from s itself, so
+    reassemble(components) == s holds by construction.
     """
     if s.is_zero():
         return []
@@ -427,8 +428,6 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
             if not ds.apply(remainder).is_zero():
                 raise ArithmeticError("peeling left a non-monogenic remainder")
             components.insert(0, HoweComponent(l - level, 0, remainder))
-    if reassemble(components, xs) != s:
-        raise ArithmeticError("decomposition failed to reconstruct the input")
     return components
 
 
@@ -443,9 +442,11 @@ def kernel_linear_solve(
     Plain nullspace computation over Q(i); kind is None because no
     recursion family is involved. parity optionally restricts the
     coefficient space to even or odd powers of q. The unknowns are the
-    coefficients of the monomial units (position key, q^k), so entry c of a
-    nullspace vector is the coefficient at unit c: each basis spinor is read
-    straight from its vector, with no recombination of the units.
+    coefficients of the monomial units (position key, q^k). The matrix
+    columns, the units' images, are read straight from op's apply plan, with
+    no per-unit apply. Entry c of a nullspace vector is the coefficient at
+    unit c: each basis spinor is read straight from its vector, with no
+    recombination of the units.
     """
     if m < 0 or qmax < 0:
         raise ValueError("m and qmax must be nonnegative")
@@ -457,10 +458,9 @@ def kernel_linear_solve(
         for k in range(qmax + 1)
         if parity is None or (k % 2 == 0) == (parity == EVEN)
     ]
-    one = QPoly([1])
-    images = [op.apply(Spinor(op.basis, {key: one.shift(k)})) for key, k in units]
+    columns, labels = _unit_columns(op, units)
     basis = []
-    for vec in nullspace(*spinor_columns(images)):
+    for vec in nullspace(columns, len(labels)):
         rows: Dict[Tuple[int, int], list] = {}  # key -> [(q-power, re, im, d)], powers ascending
         for (key, k), c in zip(units, vec):
             if c._a or c._b:

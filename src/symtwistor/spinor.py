@@ -271,8 +271,47 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
     return Spinor(spinor.basis, {key: _canonical(re, im, d) for key, (re, im) in out.items()})
 
 
+def _unit_columns(op: WeylOperator, units: Sequence[Tuple[Tuple[int, int], int]]):
+    """Dense columns of op's images of the monomial units (key, k), one per unit, and
+    {(key, q-power): row}, the rows nonzero in some image in order of first appearance.
+
+    The image of unit ((m1, m2), k) is read from the plan, as _act reads it: each group
+    with d <= m1 and e <= m2 adds its row k times perm(m1, d) * perm(m2, e) at key
+    (m1 - d + a, m2 - e + b), over op_den. A chain-side group gets rows local to this call.
+    """
+    op_den, groups = _plan(op)
+    n = max((k for _, k in units), default=-1) + 1
+    tables = []
+    for part, terms, rows in groups:
+        rows = [] if rows is None else rows
+        if len(rows) < n:
+            _grow(rows, terms, n)
+        tables.append((part, rows))
+    labels: dict = {}
+    entries = []
+    for (m1, m2), k in units:
+        cells: dict = {}  # (key, q-power) -> (re, im) over op_den
+        for (a, b, d, e), rows in tables:
+            if d > m1 or e > m2:
+                continue
+            key = (m1 - d + a, m2 - e + b)
+            w = perm(m1, d) * perm(m2, e)
+            for j, ra, rb in rows[k]:
+                x, y = cells.get((key, j), (0, 0))
+                cells[key, j] = (x + w * ra, y + w * rb)
+        entries.append([(labels.setdefault(cell, len(labels)), x, y)
+                        for cell, (x, y) in cells.items() if x or y])
+    columns = []
+    for column_entries in entries:
+        col = [ZERO] * len(labels)
+        for i, x, y in column_entries:
+            col[i] = _make(x, y, op_den)
+        columns.append(col)
+    return columns, labels
+
+
 def _plan(op: WeylOperator) -> tuple:
-    """op's apply plan, built on the first apply and kept on op: (op_den, groups).
+    """op's apply plan, built on first use and kept on op: (op_den, groups).
 
     Coefficients are integers (ca, cb) over op_den. Each group is ((a, b, d, e), terms,
     rows): the terms (qc, f, ca, cb) of one position part, in order of first appearance.

@@ -104,7 +104,7 @@ class WeylOperator:
     def __init__(self, basis: BasisTag, terms: Mapping[Monomial, GaussianRational]):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _clean_terms(terms))
-        object.__setattr__(self, "_plan", None)  # spinor._plan builds it on the first apply
+        object.__setattr__(self, "_plan", None)  # spinor._plan builds it on first use
         object.__setattr__(self, "_hash", None)  # __hash__ computes it on the first call
 
     def __setattr__(self, name, value):

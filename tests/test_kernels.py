@@ -42,7 +42,7 @@ from symtwistor.kernels import (
 from symtwistor import operators, verify
 from symtwistor.operators import build_ds, named_operator
 from symtwistor.parsing import parse_operator
-from symtwistor.spinor import EVEN, ODD, QPoly, Spinor
+from symtwistor.spinor import EVEN, ODD, QPoly, Spinor, _unit_columns
 from symtwistor.weyl import BasisTag, WeylOperator
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
@@ -536,10 +536,10 @@ def test_howe_decompose_lifts_layers_only_through_reassemble(basis, monkeypatch)
     scales = _counting(monkeypatch, Spinor, "scale")
     assert howe_decompose(s) == expected
     # applies: 7 for the D_s chain, 1+2+...+6 = 21 for the Horner lifts of the six levels
-    # below the top, 6 remainder guards and 6 for the final reassemble
-    assert len(applies) == 7 + 21 + 6 + 6
-    # one reassemble per level below the top and the final guard; one scale per raised layer
-    assert (len(reassembles), len(scales)) == (l + 1, 21)
+    # below the top and 6 remainder guards; s is never reassembled as a whole
+    assert len(applies) == 7 + 21 + 6
+    # one reassemble per level below the top; one scale per raised layer
+    assert (len(reassembles), len(scales)) == (l, 21)
 
 
 _small_gaussians = st.builds(G, st.integers(-3, 3), st.integers(-3, 3))
@@ -636,6 +636,60 @@ def test_kernel_linear_solve_reads_its_basis_from_one_dense_nullspace(monkeypatc
     monkeypatch.setattr(kernels_mod, "nullspace", spy)
     monkeypatch.setattr(kernels_mod, "linear_combination", refuse)
     assert kernel_linear_solve(ts_z, 3, 11) == want and calls == [True]
+
+
+def test_kernel_linear_solve_makes_no_apply(monkeypatch):
+    # sha256 of json.dumps(kernel_linear_solve(ts, 3, 11).to_json(), sort_keys=True) in
+    # zzbar, recorded while each unit was still applied one at a time
+    ts_z = named_operator("ts", ZZ)
+
+    def refuse(*args):
+        raise AssertionError("kernel_linear_solve applied its operator")
+
+    monkeypatch.setattr(WeylOperator, "apply", refuse)
+    text = json.dumps(kernel_linear_solve(ts_z, 3, 11).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "25ac0a5b2b85ac86e5d713208f94d315ab3d51da7ce38a8a0fd90c6412e5bbf5")
+
+
+# sha256 of json.dumps([kernel_linear_solve(n, m, 2m+5).to_json() for n in ts, ds, ds2, xs
+# and m <= 5], sort_keys=True) in xy, where every plan has a chain-side group; recorded
+# while each unit was still applied one at a time
+XY_LINEAR_DIGEST = "9d969439c38d238afd539f5f30db48313864d0124df181af145dd7e162506b8c"
+
+
+def test_xy_linear_kernels_match_the_recorded_digest():
+    families = [kernel_linear_solve(named_operator(name, XY), m, 2 * m + 5).to_json()
+                for name in ("ts", "ds", "ds2", "xs") for m in range(6)]
+    text = json.dumps(families, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == XY_LINEAR_DIGEST
+
+
+# registry operators, whose xy plans all have a chain-side group, and two chain-side
+# groups of their own: a pure multiplication and a Dq order above the group's size
+_PLANNED_OPERATORS = [named_operator(name, basis) for name in operators._BUILDERS
+                      for basis in (XY, ZZ)] + [parse_operator(text, basis)
+                      for text in ("x*q", "dq^3 + x*dx") for basis in (XY, ZZ)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from(_PLANNED_OPERATORS), m=st.integers(0, 4), qmax=st.integers(0, 9),
+       parity=st.sampled_from([None, EVEN, ODD]))
+def test_unit_columns_are_the_unit_images_up_to_row_order(op, m, qmax, parity):
+    units = [((e1, m - e1), k) for e1 in range(m + 1) for k in range(qmax + 1)
+             if parity is None or k % 2 == (parity == ODD)]
+    images = [op.apply(Spinor(op.basis, {key: QPoly.monomial(k)})) for key, k in units]
+    columns, nrows = spinor_columns(images)
+    cells = {}  # (key, q-power) -> row of spinor_columns, numbered as it numbers them
+    for image in images:
+        for key, poly in image.terms.items():
+            for k, _ in poly.nonzero_terms():
+                cells.setdefault((key, k), len(cells))
+    assert len(cells) == nrows
+    got, labels = _unit_columns(op, units)
+    assert len(got) == len(units) and all(len(col) == len(labels) for col in got)
+    assert ({cell: [col[i] for col in got] for cell, i in labels.items()}
+            == {cell: [col[i] for col in columns] for cell, i in cells.items()})
 
 
 @pytest.mark.parametrize("kind", list(RecursionKind))

@@ -235,6 +235,22 @@ def _dq_negated(monkeypatch):
     monkeypatch.setattr(operators, "_BUILT", {})
 
 
+def _unit_columns_unweighted(monkeypatch):
+    """kernel_linear_solve's unit images with the falling-factorial weight forced to 1.
+
+    Only the oracle's columns lose the weight: apply reads the same name in spinor,
+    so perm is rebound for the duration of each call of the helper alone.
+    """
+    genuine = spinor_mod._unit_columns
+
+    def unweighted(op, units):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(spinor_mod, "perm", lambda n, k: 1)
+            return genuine(op, units)
+
+    monkeypatch.setattr(ker, "_unit_columns", unweighted)
+
+
 def _negated(obj, slot):
     """obj with the generator of slot replaced by its negative: each term times (-1)^power."""
     if isinstance(obj, Spinor):
@@ -312,6 +328,7 @@ FAULTS = [
     (_minus_exclusion_plus_one, "minus-exclusion.values"),
     (_scalar_action_doubled, "casimir.scalar"),
     (_rank_plus_one, "oracle.recursion-vs-linear"),
+    (_unit_columns_unweighted, "oracle.recursion-vs-linear"),
     (_twistor_basis_first_doubled, "twistor-basis.annihilation"),
     (_weighted_dq_plus_q3, "holomorphic.ode"),
     (_dq_negated, "holomorphic.ode"),
@@ -375,7 +392,7 @@ def test_sweeps_walk_each_power_and_raising_chain_once(monkeypatch):
 @pytest.mark.parametrize("plant", [_ladder_constant_doubled, _reassemble_drops_top_layer])
 def test_a_peel_fault_is_caught_at_its_level(monkeypatch, plant):
     # every level below the top reads the ladder constant and reassemble, so the
-    # per-level D_s guard fires before the final reassembly guard
+    # per-level D_s guard fires, before the check's own reassemble row is read
     plant(monkeypatch)
     assert _run_one("howe.roundtrip").witness == (
         "ArithmeticError: peeling left a non-monogenic remainder")
