@@ -29,7 +29,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactnum import I, ONE, ZERO, GaussianRational, _make
 from .weyl import BasisTag, WeylOperator, _require_same_basis
-from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms, _unit_columns
+from .spinor import EVEN, ODD, QPoly, Spinor, _from_terms, _unit_images
 from .operators import _get_or_build, named_operator
 
 
@@ -442,9 +442,10 @@ def kernel_linear_solve(
     Plain nullspace computation over Q(i); kind is None because no
     recursion family is involved. parity optionally restricts the
     coefficient space to even or odd powers of q. The unknowns are the
-    coefficients of the monomial units (position key, q^k). The matrix
-    columns, the units' images, are read straight from op's apply plan, with
-    no per-unit apply. Entry c of a nullspace vector is the coefficient at
+    coefficients of the monomial units (position key, q^k). The units'
+    images are read straight from op's apply plan as coefficient maps, with
+    no per-unit apply, and _columns numbers their rows as it does for
+    spinor_columns. Entry c of a nullspace vector is the coefficient at
     unit c: each basis spinor is read straight from its vector, with no
     recombination of the units.
     """
@@ -458,9 +459,8 @@ def kernel_linear_solve(
         for k in range(qmax + 1)
         if parity is None or (k % 2 == 0) == (parity == EVEN)
     ]
-    columns, labels = _unit_columns(op, units)
     basis = []
-    for vec in nullspace(columns, len(labels)):
+    for vec in nullspace(*_columns(_unit_images(op, units))):
         rows: Dict[Tuple[int, int], list] = {}  # key -> [(q-power, re, im, d)], powers ascending
         for (key, k), c in zip(units, vec):
             if c._a or c._b:
@@ -555,20 +555,18 @@ def same_span(a: Sequence[Spinor], b: Sequence[Spinor]) -> bool:
 def spinor_columns(
     spinors: Sequence[Spinor],
 ) -> Tuple[List[List[GaussianRational]], int]:
-    """Coefficient columns of the spinors over their joint support, and the row count.
+    """Coefficient columns of the spinors over their joint support, and the row count."""
+    return _columns([{(key, k): c for key, poly in s.terms.items() for k, c in poly.nonzero_terms()}
+                     for s in spinors])
 
-    Rows are the (position key, q-power) pairs nonzero in some spinor, in
-    order of first appearance.
+
+def _columns(maps: Sequence[dict]) -> Tuple[List[List[GaussianRational]], int]:
+    """Dense columns of the maps {(position key, q-power): nonzero value}, and the row count.
+
+    Rows are the (position key, q-power) pairs of the maps, in order of first appearance.
     """
     rows: Dict[Tuple[Tuple[int, int], int], int] = {}
-    entries = [
-        [
-            (rows.setdefault((key, k), len(rows)), c)
-            for key, poly in s.terms.items()
-            for k, c in poly.nonzero_terms()
-        ]
-        for s in spinors
-    ]
+    entries = [[(rows.setdefault(cell, len(rows)), c) for cell, c in m.items()] for m in maps]
     columns = []
     for column_entries in entries:
         col = [ZERO] * len(rows)

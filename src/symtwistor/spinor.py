@@ -271,9 +271,9 @@ def _act(op: WeylOperator, spinor: "Spinor") -> "Spinor":
     return Spinor(spinor.basis, {key: _canonical(re, im, d) for key, (re, im) in out.items()})
 
 
-def _unit_columns(op: WeylOperator, units: Sequence[Tuple[Tuple[int, int], int]]):
-    """Dense columns of op's images of the monomial units (key, k), one per unit, and
-    {(key, q-power): row}, the rows nonzero in some image in order of first appearance.
+def _unit_images(op: WeylOperator, units: Sequence[Tuple[Tuple[int, int], int]]) -> list:
+    """op's images of the monomial units (key, k): one {(key, q-power): coefficient} per
+    unit, zero cells dropped.
 
     The image of unit ((m1, m2), k) is read from the plan, as _act reads it: each group
     with d <= m1 and e <= m2 adds its row k times perm(m1, d) * perm(m2, e) at key
@@ -284,11 +284,9 @@ def _unit_columns(op: WeylOperator, units: Sequence[Tuple[Tuple[int, int], int]]
     tables = []
     for part, terms, rows in groups:
         rows = [] if rows is None else rows
-        if len(rows) < n:
-            _grow(rows, terms, n)
+        _grow(rows, terms, n)
         tables.append((part, rows))
-    labels: dict = {}
-    entries = []
+    images = []
     for (m1, m2), k in units:
         cells: dict = {}  # (key, q-power) -> (re, im) over op_den
         for (a, b, d, e), rows in tables:
@@ -299,15 +297,8 @@ def _unit_columns(op: WeylOperator, units: Sequence[Tuple[Tuple[int, int], int]]
             for j, ra, rb in rows[k]:
                 x, y = cells.get((key, j), (0, 0))
                 cells[key, j] = (x + w * ra, y + w * rb)
-        entries.append([(labels.setdefault(cell, len(labels)), x, y)
-                        for cell, (x, y) in cells.items() if x or y])
-    columns = []
-    for column_entries in entries:
-        col = [ZERO] * len(labels)
-        for i, x, y in column_entries:
-            col[i] = _make(x, y, op_den)
-        columns.append(col)
-    return columns, labels
+        images.append({cell: _make(x, y, op_den) for cell, (x, y) in cells.items() if x or y})
+    return images
 
 
 def _plan(op: WeylOperator) -> tuple:

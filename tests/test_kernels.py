@@ -42,7 +42,7 @@ from symtwistor.kernels import (
 from symtwistor import operators, verify
 from symtwistor.operators import build_ds, named_operator
 from symtwistor.parsing import parse_operator
-from symtwistor.spinor import EVEN, ODD, QPoly, Spinor, _unit_columns
+from symtwistor.spinor import EVEN, ODD, QPoly, Spinor, _unit_images
 from symtwistor.weyl import BasisTag, WeylOperator
 
 XY, ZZ = BasisTag.XY, BasisTag.ZZBAR
@@ -602,6 +602,18 @@ def test_ts_linear_kernels_match_the_recorded_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == TS_LINEAR_DIGEST
 
 
+# the same for 13 <= m <= 20, recorded while the unit images were still numbered into
+# columns by a writer of their own
+TS_LARGE_LINEAR_DIGEST = "4423adcf4dd9ae6f88c28d7d55cf9dc2eb6c8cc88ea9c031521faa98a0261706"
+
+
+def test_large_ts_linear_kernels_match_the_recorded_digest():
+    ts_z = named_operator("ts", ZZ)
+    families = [kernel_linear_solve(ts_z, m, 2 * m + 7).to_json() for m in range(13, 21)]
+    text = json.dumps(families, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TS_LARGE_LINEAR_DIGEST
+
+
 # sha256 of json.dumps(bases, sort_keys=True) for the oracle's parity-restricted solves,
 # kernel_linear_solve(operator_for_kind(kind), m, qdeg, parity=kind.parity) for every kind
 # and m <= 5, recorded while each basis spinor was still recombined from unit spinors
@@ -675,21 +687,13 @@ _PLANNED_OPERATORS = [named_operator(name, basis) for name in operators._BUILDER
 @settings(max_examples=60, deadline=None)
 @given(op=st.sampled_from(_PLANNED_OPERATORS), m=st.integers(0, 4), qmax=st.integers(0, 9),
        parity=st.sampled_from([None, EVEN, ODD]))
-def test_unit_columns_are_the_unit_images_up_to_row_order(op, m, qmax, parity):
+def test_unit_images_are_the_applied_unit_images(op, m, qmax, parity):
     units = [((e1, m - e1), k) for e1 in range(m + 1) for k in range(qmax + 1)
              if parity is None or k % 2 == (parity == ODD)]
     images = [op.apply(Spinor(op.basis, {key: QPoly.monomial(k)})) for key, k in units]
-    columns, nrows = spinor_columns(images)
-    cells = {}  # (key, q-power) -> row of spinor_columns, numbered as it numbers them
-    for image in images:
-        for key, poly in image.terms.items():
-            for k, _ in poly.nonzero_terms():
-                cells.setdefault((key, k), len(cells))
-    assert len(cells) == nrows
-    got, labels = _unit_columns(op, units)
-    assert len(got) == len(units) and all(len(col) == len(labels) for col in got)
-    assert ({cell: [col[i] for col in got] for cell, i in labels.items()}
-            == {cell: [col[i] for col in columns] for cell, i in cells.items()})
+    assert _unit_images(op, units) == [
+        {(key, k): c for key, poly in image.terms.items() for k, c in poly.nonzero_terms()}
+        for image in images]
 
 
 @pytest.mark.parametrize("kind", list(RecursionKind))

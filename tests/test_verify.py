@@ -235,20 +235,39 @@ def _dq_negated(monkeypatch):
     monkeypatch.setattr(operators, "_BUILT", {})
 
 
-def _unit_columns_unweighted(monkeypatch):
+def _unit_images_unweighted(monkeypatch):
     """kernel_linear_solve's unit images with the falling-factorial weight forced to 1.
 
-    Only the oracle's columns lose the weight: apply reads the same name in spinor,
+    Only the oracle's images lose the weight: apply reads the same name in spinor,
     so perm is rebound for the duration of each call of the helper alone.
     """
-    genuine = spinor_mod._unit_columns
+    genuine = spinor_mod._unit_images
 
     def unweighted(op, units):
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(spinor_mod, "perm", lambda n, k: 1)
             return genuine(op, units)
 
-    monkeypatch.setattr(ker, "_unit_columns", unweighted)
+    monkeypatch.setattr(ker, "_unit_images", unweighted)
+
+
+def _unit_images_skip_chain_side(monkeypatch):
+    """kernel_linear_solve's unit images without the plan's chain-side groups.
+
+    Every xy plan has one; the plan is cut for the duration of each call of the helper alone.
+    """
+    genuine, plan = spinor_mod._unit_images, spinor_mod._plan
+
+    def row_side(op):
+        op_den, groups = plan(op)
+        return op_den, [g for g in groups if g[2] is not None]
+
+    def skipping(op, units):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(spinor_mod, "_plan", row_side)
+            return genuine(op, units)
+
+    monkeypatch.setattr(ker, "_unit_images", skipping)
 
 
 def _negated(obj, slot):
@@ -328,7 +347,8 @@ FAULTS = [
     (_minus_exclusion_plus_one, "minus-exclusion.values"),
     (_scalar_action_doubled, "casimir.scalar"),
     (_rank_plus_one, "oracle.recursion-vs-linear"),
-    (_unit_columns_unweighted, "oracle.recursion-vs-linear"),
+    (_unit_images_unweighted, "oracle.recursion-vs-linear"),
+    (_unit_images_skip_chain_side, "oracle.recursion-vs-linear"),
     (_twistor_basis_first_doubled, "twistor-basis.annihilation"),
     (_weighted_dq_plus_q3, "holomorphic.ode"),
     (_dq_negated, "holomorphic.ode"),
