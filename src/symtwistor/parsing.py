@@ -52,7 +52,9 @@ MAX_NESTING_DEPTH = 100
 MAX_EXPONENT = 64
 
 _SPACE = " \t\r\n"  # the only characters that separate tokens
-_TOKEN_RE = re.compile(rf"[{_SPACE}]*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()/]))")
+_TOKEN_RE = re.compile(  # every character is in one match; a run of spaces yields no token
+    rf"(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/])|[{_SPACE}]+|(?P<bad>.)", re.S
+)
 
 
 class _Token(NamedTuple):
@@ -63,24 +65,12 @@ class _Token(NamedTuple):
 
 def tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip(_SPACE)
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise OperatorSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
-        number, ident, op = match.groups()
-        start = match.end() - len(match.group().lstrip(_SPACE))
-        if number is not None:
-            tokens.append(_Token("int", number, start))
-        elif ident is not None:
-            tokens.append(_Token("ident", ident, start))
-        else:
-            tokens.append(_Token(op, op, start))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind, token = match.lastgroup, match.group()
+        if kind == "bad":
+            raise OperatorSyntaxError(f"unexpected character {token!r}", match.start())
+        if kind is not None:
+            tokens.append(_Token(token if kind == "op" else kind, token, match.start()))
     return tokens
 
 

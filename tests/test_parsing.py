@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symtwistor.exactnum import G, I
 from symtwistor.parsing import (
@@ -12,6 +13,7 @@ from symtwistor.parsing import (
     OperatorSyntaxError,
     UnknownSymbolError,
     parse_operator,
+    tokenize,
 )
 from symtwistor.weyl import BasisTag, WeylOperator
 
@@ -249,6 +251,49 @@ def test_empty_input():
         parse_operator("")
     with pytest.raises(OperatorSyntaxError):
         parse_operator("   ")
+
+
+def _reference_tokens(text):
+    """Character-by-character scan: (kind, text, position) tokens, or (message, position)."""
+    digits, letters = "0123456789", "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+    tokens, pos = [], 0
+    while pos < len(text):
+        c = text[pos]
+        if c in " \t\r\n":
+            pos += 1
+        elif c in "-+*^()/":
+            tokens.append((c, c, pos))
+            pos += 1
+        elif c in digits or c in letters:
+            kind, allowed = ("int", digits) if c in digits else ("ident", letters + digits)
+            end = pos + 1
+            while end < len(text) and text[end] in allowed:
+                end += 1
+            tokens.append((kind, text[pos:end], pos))
+            pos = end
+        else:
+            return f"unexpected character {c!r} (at position {pos})", pos
+    return tokens
+
+
+_PIECES = [*"0123456789+-*^()/", "x", "y", "q", "dx", "dzbar", "zbar", "i", "_a1",
+           " ", "   ", "\t", "\r", "\n", "\r\n", "\v", "\f", "$", "\u3000", "\xa0", "\u0663"]
+_SPACES = st.lists(st.sampled_from([" ", "\t", "\r", "\n"]), max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_SPACES, st.lists(st.sampled_from(_PIECES), max_size=16).map("".join), _SPACES)
+       .map("".join))
+@example("")
+@example("   ")
+@example(" \t\r\n x\t+\r\n12 ")
+def test_tokenize_matches_a_character_by_character_scan(text):
+    try:
+        got = [tuple(tok) for tok in tokenize(text)]
+    except OperatorSyntaxError as exc:
+        assert type(exc) is OperatorSyntaxError
+        got = str(exc), exc.position
+    assert got == _reference_tokens(text)
 
 
 @settings(max_examples=50, deadline=None)

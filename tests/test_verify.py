@@ -418,6 +418,38 @@ def test_a_peel_fault_is_caught_at_its_level(monkeypatch, plant):
         "ArithmeticError: peeling left a non-monogenic remainder")
 
 
+def test_the_recursion_oracle_makes_one_span_per_kind_and_m(monkeypatch):
+    calls = []
+    genuine = ker.recursion_span
+
+    def spied(kind, m, qmax):
+        calls.append((kind, m, qmax))
+        return genuine(kind, m, qmax)
+
+    monkeypatch.setattr(ker, "recursion_span", spied)
+    assert _run_one("oracle.recursion-vs-linear").status == "pass"
+    # the m = 2 xy rows compare the span their zzbar row made
+    assert calls == [(kind, m, 2 * m + 4) for kind in ker.RecursionKind for m in range(5)]
+
+
+def test_the_recursion_oracle_puts_each_xy_row_after_its_zzbar_row():
+    labels = [label for label, _, _ in verify_mod._recursion_vs_linear_rows(ker.RecursionKind, range(5))]
+    want = []
+    for kind in ker.RecursionKind:
+        for m in range(5):
+            want.append(f"{kind.value}, m={m}, recursion and linear spans equal")
+            if m == 2:
+                want.append(f"{kind.value}, m=2, xy, recursion and linear spans equal")
+    assert len(want) == 36
+    assert labels == want
+
+
+def test_the_chain_side_fault_is_caught_at_the_first_xy_row(monkeypatch):
+    _unit_images_skip_chain_side(monkeypatch)
+    assert _run_one("oracle.recursion-vs-linear").witness == (
+        "ds/odd, m=2, xy, recursion and linear spans equal: got False")
+
+
 @pytest.mark.parametrize(
     "plant, check_id", FAULTS, ids=[f"{plant.__name__[1:]}->{cid}" for plant, cid in FAULTS]
 )
