@@ -142,7 +142,7 @@ def _cmd_decompose(args) -> Tuple[int, Iterable[str]]:
         spinor = spinor.change_basis(BasisTag(args.basis))
     components = []
     for part in _homogeneous_parts(spinor):
-        components.extend(howe_decompose(part))  # reconstruction asserted inside
+        components.extend(howe_decompose(part))  # sums to part by construction
     components.sort(key=lambda c: (c.homogeneity + c.power, c.power))
     if args.format == "json":
         payload = {

@@ -34,7 +34,22 @@ def _parts(value: _RationalLike) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class GaussianRational:
+class _Value:
+    """Immutable; str() and to_latex() are the subclass's _render in _TEXT and _LATEX style."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __str__(self) -> str:
+        return self._render(_TEXT)
+
+    def to_latex(self) -> str:
+        return self._render(_LATEX)
+
+
+class GaussianRational(_Value):
     """(a + b*i)/d with ints a, b, d; d > 0 and gcd(a, b, d) == 1."""
 
     __slots__ = ("_a", "_b", "_d")
@@ -47,9 +62,6 @@ class GaussianRational:
         _set_a(self, p * (d // q))
         _set_b(self, r * (d // s))
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -182,14 +194,8 @@ class GaussianRational:
             return unit if b > 0 else f"-{unit}"
         return f"{_write_rational(style, a, d)}{style.gap}{'+' if b > 0 else '-'}{style.gap}{unit}"
 
-    def __str__(self) -> str:
-        return self._render(_TEXT)
-
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def to_latex(self) -> str:
-        return self._render(_LATEX)
 
 
 # Slot setters that bypass the immutability guard; only the constructors use them.

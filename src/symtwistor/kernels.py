@@ -281,16 +281,14 @@ def monogenic_minus(m: int) -> Spinor:
 def twistor_kernel_basis(m: int) -> List[Spinor]:
     """Basis of the homogeneity-m twistor kernel (zzbar basis).
 
-    m = 0: the two constant spinors. m >= 1: the raising-operator images
-    of the two homogeneity-(m-1) Dirac-kernel representatives.
+    m = 0: e^{-q^2/2} and q e^{-q^2/2}, the m = 0 members monogenic_plus(0) and
+    holomorphic_family_member(0) of two families. m >= 1: the raising-operator
+    images of the two homogeneity-(m-1) Dirac-kernel representatives.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
-        return [
-            Spinor.monomial(BasisTag.ZZBAR, 0, 0, [1]),
-            Spinor.monomial(BasisTag.ZZBAR, 0, 0, [0, 1]),
-        ]
+        return [monogenic_plus(0), holomorphic_family_member(0)]
     xs_z = named_operator("xs", BasisTag.ZZBAR)
     return [
         xs_z.apply(monogenic_plus(m - 1)),

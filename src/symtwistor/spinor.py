@@ -13,7 +13,7 @@ from itertools import zip_longest
 from math import gcd, lcm, perm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .exactnum import _LATEX, _TEXT, ZERO, GaussianRational, ScalarLike, _Style
+from .exactnum import _LATEX, ZERO, GaussianRational, ScalarLike, _Style, _Value
 from .exactnum import _write_product, _write_sum
 from .exactnum import _make  # unchecked (a + b*i)/d; QPoly reads the triple
 from .weyl import GENERATOR_LATEX, GENERATOR_NAMES, BasisMismatchError, BasisTag
@@ -23,7 +23,7 @@ EVEN = "even"
 ODD = "odd"
 MIXED = "mixed"
 
-class QPoly:
+class QPoly(_Value):
     """Polynomial in q over Q(i): Gaussian-integer numerators over one denominator.
 
     Coefficient k is (re[k] + i*im[k])/d, the layout of FLINT's fmpq_poly with
@@ -42,9 +42,6 @@ class QPoly:
         _set_re(self, poly._re)
         _set_im(self, poly._im)
         _set_d(self, poly._d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPoly is immutable")
 
     @staticmethod
     def monomial(exponent: int, coeff: ScalarLike = 1) -> "QPoly":
@@ -141,14 +138,8 @@ class QPoly:
         terms = ((c, _write_product(style, ("q",), (k,))) for k, c in self.nonzero_terms())
         return _write_sum(style, terms, sparing=True)
 
-    def __str__(self) -> str:
-        return self._render(_TEXT)
-
     def __repr__(self) -> str:
         return f"QPoly({self})"
-
-    def to_latex(self) -> str:
-        return self._render(_LATEX)
 
     def to_json(self) -> list:
         return [c.to_list() for c in self.coeffs]
@@ -348,7 +339,7 @@ def _nonzero(re: tuple, im: tuple) -> list:
     return [(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]
 
 
-class Spinor:
+class Spinor(_Value):
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: BasisTag, terms: Mapping[Tuple[int, int], QPoly]):
@@ -363,9 +354,6 @@ class Spinor:
                 clean[(e1, e2)] = poly
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Spinor is immutable")
 
     # ---- constructors ----
 
@@ -498,11 +486,5 @@ class Spinor:
         terms = ((p, _write_product(style, names, key)) for key, p in sorted(self.terms.items()))
         return f"{style.weight}{style.left}{_write_sum(style, terms)}{style.right}"
 
-    def __str__(self) -> str:
-        return self._render(_TEXT)
-
     def __repr__(self) -> str:
         return f"<Spinor {self.basis.value}: {self}>"
-
-    def to_latex(self) -> str:
-        return self._render(_LATEX)

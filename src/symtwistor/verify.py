@@ -530,7 +530,7 @@ def _howe_roundtrip_rows():
         l = rng.randint(0, 4)
         basis = XY if rng.random() < 0.5 else ZZ
         s = _random_homogeneous_spinor(rng, l, basis)
-        comps = ker.howe_decompose(s)  # reconstruction is asserted inside
+        comps = ker.howe_decompose(s)  # sums to s by construction; the last row checks it
         xs, ds = ops[basis]
         powers = [comp.power for comp in comps]
         yield f"trial {trial}, duplicate layers", len(powers) - len(set(powers)), 0

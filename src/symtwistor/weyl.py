@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Mapping, Tuple
 
-from .exactnum import _EXPR, _LATEX, I, ONE, ZERO, GaussianRational, ScalarLike, _Style
+from .exactnum import _EXPR, _LATEX, I, ONE, ZERO, GaussianRational, ScalarLike, _Style, _Value
 from .exactnum import _make, _write_product, _write_sum
 
 Monomial = Tuple[int, int, int, int, int, int]  # (p1, p2, q, d1, d2, dq)
@@ -98,7 +98,7 @@ def _contractions(d: int, a: int) -> tuple:
     return tuple((j, comb(d, j) * perm(a, j)) for j in range(min(d, a) + 1))
 
 
-class WeylOperator:
+class WeylOperator(_Value):
     __slots__ = ("basis", "terms", "_plan", "_hash")
 
     def __init__(self, basis: BasisTag, terms: Mapping[Monomial, GaussianRational]):
@@ -106,9 +106,6 @@ class WeylOperator:
         object.__setattr__(self, "terms", _clean_terms(terms))
         object.__setattr__(self, "_plan", None)  # spinor._plan builds it on first use
         object.__setattr__(self, "_hash", None)  # __hash__ computes it on the first call
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylOperator is immutable")
 
     # ---- constructors ----
 
@@ -303,9 +300,6 @@ class WeylOperator:
 
     def __repr__(self) -> str:
         return f"<WeylOperator {self.basis.value}: {self}>"
-
-    def to_latex(self) -> str:
-        return self._render(_LATEX)
 
 
 # source basis -> (images of its positions, images of its derivatives) in the other

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 import symtwistor
 from symtwistor.exactnum import G, GaussianRational, I, MINUS_I, ONE, ZERO
+from symtwistor.operators import named_operator
+from symtwistor.spinor import QPoly, Spinor
+from symtwistor.weyl import BasisTag, WeylOperator
 
 
 gaussians = st.builds(
@@ -52,6 +55,21 @@ def test_immutable():
     g = G(1, 2)
     with pytest.raises(AttributeError):
         g.re = Fraction(9)
+    values = {  # each value type, with one slot it has
+        GaussianRational: (g, "_a"),
+        QPoly: (QPoly([1, I]), "_re"),
+        Spinor: (Spinor.monomial(BasisTag.XY, 1, 0, [1]), "terms"),
+        WeylOperator: (named_operator("ts", BasisTag.ZZBAR), "terms"),
+    }
+    for cls, (value, slot) in values.items():
+        for name in (slot, "extra"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(value, name, None)
+        assert not hasattr(value, "__dict__")
+    # one base states the guard and the two renderings; only WeylOperator writes str() its own way
+    for cls in values:
+        assert "__setattr__" not in vars(cls) and "to_latex" not in vars(cls)
+        assert ("__str__" in vars(cls)) == (cls is WeylOperator)
 
 
 def test_basic_arithmetic():
