@@ -8,13 +8,16 @@ ansatz
 with an extra overall factor q for the odd-parity kinds. Each of the six
 relation families is data (_relation): lead * a[r][k] = sum of w *
 a[r-dr][k-dk]. One fill rule serves them all: a slot whose lead is 0 is
-an input, anything else is solved bottom-up. Row 0 holds the seed A^0;
-the inputs above it are reported as named free parameters instead of
-guessed. A free element and its residual do not depend on the seed:
-each is computed once per (operator, kind, m, qmax, slot) and cached
-(_unit_fill, at most FILL_CACHE_SIZE entries). Every returned element is
-verified by exact operator application; a residual supported strictly
-below the truncation boundary is a solver bug and raises, on every call.
+an input, anything else is solved bottom-up. A window (kind, m, qmax)
+fixes all its relations, so they are compiled once into a program, cached
+(_program, at most PROGRAM_CACHE_SIZE windows) and shared by every fill of
+that window. Row 0 holds the seed A^0; the inputs above it are reported as
+named free parameters instead of guessed. A free element and its residual
+do not depend on the seed: each is computed once per (operator, kind, m,
+qmax, slot) and cached (_unit_fill, at most FILL_CACHE_SIZE entries).
+Every returned element is verified by exact operator application; a
+residual supported strictly below the truncation boundary is a solver bug
+and raises, on every call.
 
 kernel_linear_solve is the independent oracle: plain exact linear
 algebra over Q(i) on the coefficient space, no recursion involved.
@@ -48,10 +51,6 @@ class RecursionKind(Enum):
     TS_EVEN = "ts/even"
     DS2_EVEN = "ds2/even"
     DS2_ODD = "ds2/odd"
-
-    # Members are singletons; the identity hash is a C slot, and _relation's cache
-    # hashes a kind on every table slot the fill reads.
-    __hash__ = object.__hash__
 
     @property
     def operator_name(self) -> str:
@@ -105,7 +104,6 @@ class KernelFamily(NamedTuple):
 # ---- the six relation families ----
 
 
-@lru_cache(maxsize=1 << 16)  # bounded: one entry per (kind, m, r, k) ever filled
 def _relation(kind: RecursionKind, m: int, r: int, k: int):
     """(lead, terms) with lead * a[r][k] = sum of w * a[r-dr][k-dk] over terms (dr, dk, w).
 
@@ -132,48 +130,63 @@ def _relation(kind: RecursionKind, m: int, r: int, k: int):
     return lead, tuple(t for t in terms if t[2] and t[0] <= r and t[1] <= k)
 
 
+PROGRAM_CACHE_SIZE = 1 << 6  # bound on the compiled windows _program holds
+
+
+@lru_cache(maxsize=PROGRAM_CACHE_SIZE)
+def _program(relation, kind: RecursionKind, m: int, qmax: int) -> tuple:
+    """The window's slots in fill order, (r, k, lead, ((source slot index, w), ...)), built
+    once from relation; slot (r, k) has index r*(qmax/2 + 1) + k/2. A rebound relation is
+    a new key."""
+    width = qmax // 2 + 1
+    return tuple(
+        (r, k, lead, tuple(((r - dr) * width + (k - dk) // 2, w) for dr, dk, w in terms))
+        for r in range(m + 1) for k in range(0, qmax + 1, 2)
+        for lead, terms in (relation(kind, m, r, k),)
+    )
+
+
 def _inputs(kind: RecursionKind, m: int, qmax: int) -> List[Tuple[int, int]]:
     """The input slots (r, k) in fill order: row 0 is the seed, the rest are free."""
-    return [(r, k) for r in range(m + 1) for k in range(0, qmax + 1, 2)
-            if _relation(kind, m, r, k)[0] == 0]
+    return [(r, k) for r, k, lead, _ in _program(_relation, kind, m, qmax) if not lead]
 
 
 def _fill(kind: RecursionKind, m: int, qmax: int, inputs) -> Spinor:
-    """The spinor of the table a[r][k], filled bottom-up.
+    """The spinor of the table a[r][k], filled bottom-up by the window's program.
 
     An input slot takes its value from inputs (zero when absent); every
     other slot solves its relation. Only the nonzero slots are stored, as
     reduced (re, im, d) for (re + im*i)/d; a right-hand side is summed in
-    ints and divided by lead with one gcd.
+    ints and divided by lead with one gcd, and appended to its row as solved.
     """
-    a: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-    for r in range(m + 1):
-        for k in range(0, qmax + 1, 2):
-            lead, terms = _relation(kind, m, r, k)
-            re, im, d = 0, 0, 1
-            for dr, dk, w in terms:
-                v = a.get((r - dr, k - dk))
-                if v is not None:  # most are absent: only nonzero slots are stored
-                    x, y, e = v
-                    re, im, d = re * e + x * w * d, im * e + y * w * d, d * e
-            if lead:
-                if re or im:
-                    d *= lead
-                    g = gcd(re, im, d) if d > 0 else -gcd(re, im, d)
-                    a[r, k] = (re // g, im // g, d // g)
-            elif re or im:
-                raise ArithmeticError(
-                    f"inconsistent relation at r={r}, k={k} for {kind.value}"
-                )
-            else:
-                value = inputs.get((r, k))
-                if value:
-                    a[r, k] = (value._a, value._b, value._d)
+    program = _program(_relation, kind, m, qmax)
+    a: List[Optional[Tuple[int, int, int]]] = [None] * len(program)
     shift = 1 if kind.parity == ODD else 0
-    rows: Dict[Tuple[int, int], list] = {}  # key -> [(q-power, re, im, d)], powers ascending
-    for (r, k), (re, im, d) in a.items():
-        rows.setdefault((r, m - r), []).append((k + shift, re, im, d))
-    return Spinor(BasisTag.ZZBAR, {key: _from_terms(row) for key, row in rows.items()})
+    rows: Dict[int, list] = {}  # r -> [(q-power, re, im, d)], powers ascending
+    for i, (r, k, lead, sources) in enumerate(program):
+        re, im, d = 0, 0, 1
+        for j, w in sources:
+            v = a[j]
+            if v is not None:  # most are absent: only nonzero slots are stored
+                x, y, e = v
+                re, im, d = re * e + x * w * d, im * e + y * w * d, d * e
+        if lead:
+            if not (re or im):
+                continue
+            d *= lead
+            g = gcd(re, im, d) if d > 0 else -gcd(re, im, d)
+            v = (re // g, im // g, d // g)
+        elif re or im:
+            raise ArithmeticError(
+                f"inconsistent relation at r={r}, k={k} for {kind.value}"
+            )
+        elif value := inputs.get((r, k)):
+            v = (value._a, value._b, value._d)
+        else:
+            continue
+        a[i] = v
+        rows.setdefault(r, []).append((k + shift, *v))
+    return Spinor(BasisTag.ZZBAR, {(r, m - r): _from_terms(row) for r, row in rows.items()})
 
 
 FILL_CACHE_SIZE = 1 << 10  # bound on the unit fills _unit_fill holds, with their residuals

@@ -345,13 +345,13 @@ class Spinor(_Value):
     def __init__(self, basis: BasisTag, terms: Mapping[Tuple[int, int], QPoly]):
         clean = {}
         for key, poly in terms.items():
-            e1, e2 = key
-            if e1 < 0 or e2 < 0:
-                raise ValueError(f"negative position exponent in {key!r}")
+            e1, e2 = key if type(key) is tuple and len(key) == 2 else (None, None)
+            if type(e1) is not int or type(e2) is not int or e1 < 0 or e2 < 0:
+                raise ValueError(f"position key {key!r} is not a pair of nonnegative ints")
             if not isinstance(poly, QPoly):
                 poly = QPoly(poly)
             if not poly.is_zero():
-                clean[(e1, e2)] = poly
+                clean[key] = poly
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
 
@@ -408,9 +408,9 @@ class Spinor(_Value):
         return max(p.degree() for p in self.terms.values())
 
     def min_q_degree(self) -> Optional[int]:
-        if self.is_zero():
-            return None
-        return min(next(p.nonzero_terms())[0] for p in self.terms.values())
+        """Lowest q-power with a nonzero coefficient, read from the numerators; None if zero."""
+        return min((next(k for k, (a, b) in enumerate(zip(p._re, p._im)) if a or b)
+                    for p in self.terms.values()), default=None)
 
     def coefficient_of(self, e1: int, e2: int, qexp: int) -> GaussianRational:
         """Exact coefficient of x^e1 y^e2 q^qexp; the spinor must be in the xy basis."""

@@ -269,8 +269,6 @@ class WeylOperator(_Value):
 
     def apply(self, spinor):
         """Act on a weight-stripped Spinor (Dq acts as d/dq - q)."""
-        from .spinor import _act
-
         _require_same_basis(self, spinor)
         return _act(self, spinor)
 
@@ -329,3 +327,7 @@ def substitute(forms, keys) -> dict:
                 coeffs[i + j] += x * y
         images[a, b] = {(k, a + b - k): coeffs[k] for k in reversed(range(a + b + 1)) if coeffs[k]}
     return images
+
+
+# spinor imports from this module, so _act is imported after this module's names exist
+from .spinor import _act  # noqa: E402

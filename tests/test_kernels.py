@@ -312,6 +312,33 @@ def test_fill_rejects_a_relation_that_fixes_an_input_slot(monkeypatch):
         kernels_mod._fill(RecursionKind.DS_EVEN, 2, 6, {(0, 0): G(1, 2)})
 
 
+def test_each_window_is_compiled_once(monkeypatch):
+    """The first fill of a window reads each slot's relation once; a second fill and the
+    input slots read none; a rebound _relation compiles the window afresh."""
+    kind, m, qmax = RecursionKind.DS2_ODD, 3, 12
+    slots = [(r, k) for r in range(m + 1) for k in range(0, qmax + 1, 2)]
+    assert len(slots) == (m + 1) * (qmax // 2 + 1)
+    genuine = kernels_mod._relation
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2:])
+        return genuine(*args)
+
+    monkeypatch.setattr(kernels_mod, "_relation", spy)
+    first = kernels_mod._fill(kind, m, qmax, {(0, 0): G(1)})
+    assert calls == slots
+    calls.clear()
+    assert kernels_mod._fill(kind, m, qmax, {(0, 0): G(1)}) == first
+    inputs = kernels_mod._inputs(kind, m, qmax)
+    assert calls == []
+    monkeypatch.setattr(kernels_mod, "_relation", lambda *args: spy(*args))
+    assert kernels_mod._inputs(kind, m, qmax) == inputs
+    assert calls == slots
+    monkeypatch.undo()
+    assert kernels_mod._fill(kind, m, qmax, {(0, 0): G(1)}) == first
+
+
 def test_family_json_shape():
     fam = solve_recursion(RecursionKind.DS_ODD, 0, QPoly([1]), 2)
     data = fam.to_json()

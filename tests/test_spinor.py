@@ -98,6 +98,12 @@ def test_spinor_drops_zero_polys():
     assert Spinor(XY, {(0, 0): QPoly([0])}).is_zero()
 
 
+@pytest.mark.parametrize("key", [(1.5, 0), (-1, 0), ("1", 0), (1, 0, 0)])
+def test_spinor_refuses_a_key_that_is_not_a_pair_of_nonnegative_ints(key):
+    with pytest.raises(ValueError, match=r"is not a pair of nonnegative ints$"):
+        Spinor(XY, {key: QPoly([1])})
+
+
 def test_spinor_linear_ops():
     a = Spinor.monomial(XY, 1, 0, QPoly([1]))
     b = Spinor.monomial(XY, 0, 1, QPoly([0, 2]))
@@ -287,6 +293,22 @@ def test_json_round_trip_property(s):
 # ---- the shared-denominator layout against a coefficient-wise reference ----
 
 qlists = st.lists(st.one_of(st.just(G(0)), coeffs), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.integers(min_value=0, max_value=4), qlists).map(lambda t: [G(0)] * t[0] + t[1]),
+    max_size=4,
+))
+def test_min_q_degree_matches_the_scalar_reference(terms):
+    """Several keys, zero low coefficients and mixed denominators; the zero spinor gives None."""
+    s = Spinor(XY, {key: QPoly(cs) for key, cs in terms.items()})
+    if s.is_zero():
+        assert s.min_q_degree() is None
+    else:
+        assert s.min_q_degree() == min(next(p.nonzero_terms())[0] for p in s.terms.values())
+    assert Spinor.zero(XY).min_q_degree() is None
 
 
 def ref_add(a, b):
