@@ -142,8 +142,7 @@ def _cmd_decompose(args) -> Tuple[int, Iterable[str]]:
         spinor = spinor.change_basis(BasisTag(args.basis))
     components = []
     for part in _homogeneous_parts(spinor):
-        components.extend(howe_decompose(part))  # sums to part by construction
-    components.sort(key=lambda c: (c.homogeneity + c.power, c.power))
+        components.extend(howe_decompose(part))  # sums to part, powers ascending
     if args.format == "json":
         payload = {
             "components": [
@@ -199,7 +198,8 @@ def _cmd_tables(args) -> Tuple[int, Iterable[str]]:
         ]
         latex = _grid_latex(cells, n + 1)
     elif args.which == "stirling":
-        flat = [comb_mod.stirling(n, m) for m in range(1, n + 1)]
+        row = comb_mod.stirling(n)
+        flat = [row[m] for m in range(1, n + 1)]
         body = {"entries": flat}
         text = [f"s({n}, m) for m = 1..{n}: " + " ".join(str(v) for v in flat)]
         latex = _grid_latex([[str(v) for v in flat]], max(n, 1))

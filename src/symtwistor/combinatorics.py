@@ -4,12 +4,13 @@ Three families:
   * A[n][j,k] - coefficients of the normal-ordered powers of the raising
     operator, via the recurrence
     A^n_{jk} = A^{n-1}_{jk} + A^{n-1}_{j,k-1} + (k+1) A^{n-1}_{j-1,k+1}.
-  * stirling(n, m) - coefficients of (q dq)^n = sum_m s(n,m) q^m dq^m.
+  * stirling(n) - the row {m: s(n,m)} of (q dq)^n = sum_m s(n,m) q^m dq^m.
   * stirling_tilde(n) - coefficients of (q + dq)^n in the three-generator
     algebra where [dq, q] = qt is central, computed by direct expansion.
 
-The *_from_power oracles and q_dq_entries read an operator power that the
-caller builds, so a sweep over n walks one WeylOperator.powers sequence.
+Each table is returned whole for one n, as a dict of its nonzero entries.
+a_table_from_power and q_dq_entries read an operator power that the caller
+builds, so a sweep over n walks one WeylOperator.powers sequence.
 """
 
 from __future__ import annotations
@@ -60,26 +61,14 @@ def a_table_from_power(power: WeylOperator, n: int) -> Dict[TableKey, int]:
     return out
 
 
-def stirling(n: int, m: int) -> int:
-    """s(n, m) with (q dq)^n = sum_m s(n, m) q^m dq^m."""
-    if n < 1 or m < 1:
-        raise ValueError("stirling(n, m) needs n >= 1, m >= 1")
-    if m > n:
-        return 0
-    row = {1: 1}  # n = 1
-    for step in range(2, n + 1):
-        row = {
-            mm: mm * row.get(mm, 0) + row.get(mm - 1, 0)
-            for mm in range(1, step + 1)
-        }
-    return row.get(m, 0)
-
-
-def stirling_from_power(power: WeylOperator, n: int, m: int) -> int:
-    """Oracle: entry (m, m) of q_dq_entries(power), power the normal-ordered (q dq)^n; n, m >= 1."""
-    if n < 1 or m < 1:
-        raise ValueError("stirling_from_power(power, n, m) needs n >= 1, m >= 1")
-    return q_dq_entries(power).get((m, m), 0)
+def stirling(n: int) -> Dict[int, int]:
+    """The row {m: s(n, m)} of nonzero entries, with (q dq)^n = sum_m s(n, m) q^m dq^m."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    row = {0: 1}
+    for step in range(1, n + 1):
+        row = {m: m * row.get(m, 0) + row.get(m - 1, 0) for m in range(1, step + 1)}
+    return row
 
 
 def q_dq_entries(power: WeylOperator) -> Dict[TableKey, int]:

@@ -409,10 +409,12 @@ def howe_decompose(s: Spinor) -> List[HoweComponent]:
     entry up. One level down, each layer m at power p becomes m/c at power
     p+1, c its ladder constant, and what the Horner sum reassemble of the
     raised layers leaves of the chain entry is its power-0 layer, listed
-    first. Two guards raise ArithmeticError: a chain longer than l + 1
-    entries (D_s lowers the position degree by one), and a power-0 remainder
-    outside the Dirac kernel. Level 0 takes its remainder from s itself, so
-    reassemble(components) == s holds by construction.
+    first. So the components come in ascending power, power 0 first, and a
+    power whose layer vanishes is left out. Two guards raise ArithmeticError:
+    a chain longer than l + 1 entries (D_s lowers the position degree by
+    one), and a power-0 remainder outside the Dirac kernel. Level 0 takes its
+    remainder from s itself, so reassemble(components) == s holds by
+    construction.
     """
     if s.is_zero():
         return []

@@ -116,16 +116,6 @@ class QPoly(_Value):
         pad = (0,) * k
         return _raw(pad + self._re, pad + self._im, self._d)
 
-    def weighted_dq(self) -> "QPoly":
-        """d/dq through the implicit weight: p -> p' - q*p.
-
-        Over Z the map is invertible on numerator vectors, so the result is
-        canonical over the same denominator without a gcd.
-        """
-        if self.is_zero():
-            return self
-        return _raw(_dq(self._re), _dq(self._im), self._d)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QPoly):
             return NotImplemented

@@ -566,8 +566,8 @@ _cases("holomorphic.family", "q e^{-q^2/2} z^n is twistor-annihilated for n <= 1
 
 
 def _holomorphic_ode_rows():
-    g = QPoly([0, 1])  # stored q-part of f, weight implicit
-    yield "q-part of (1 - q^2) f against q f'", g - g.shift(2), g.weighted_dq().shift(1)
+    f = _vacuum(1)  # the spinor q, weight e^{-q^2/2} implicit
+    yield "q f' against (1 - q^2) f", parse_operator("q*dq").apply(f), _display("q - q^3")
 
 
 _cases("holomorphic.ode", "f = q e^{-q^2/2} solves (1 - q^2) f = q f' as a weighted identity",
@@ -607,11 +607,11 @@ _cases("a-table.closed-rows", "A^n_{0k} = C(n,k) and A^n_{1,n-2} = n(n-1)/2, n <
 
 
 def _stirling_rows():
-    yield "s(4,2)", comb_mod.stirling(4, 2), 7
+    yield "s(4,2)", comb_mod.stirling(4)[2], 7
     qdq = WeylOperator.generator(XY, "q") * WeylOperator.generator(XY, "dq")
     for n, power in enumerate(qdq.powers(12)):
-        for m in range(1, n + 1):
-            yield f"n={n}, m={m}", comb_mod.stirling(n, m), comb_mod.stirling_from_power(power, n, m)
+        yield (f"n={n}", {(m, m): s for m, s in comb_mod.stirling(n).items()},
+               comb_mod.q_dq_entries(power))
 
 
 _cases("stirling.match",

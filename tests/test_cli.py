@@ -23,7 +23,7 @@ from symtwistor.cli import (
 )
 from symtwistor import operators
 from symtwistor.exactnum import GaussianRational as G
-from symtwistor.kernels import monogenic_minus, raising_chain
+from symtwistor.kernels import monogenic_minus, monogenic_plus, raising_chain
 from symtwistor.parsing import MAX_EXPONENT
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import MAX_COMPOSE_TERMS, MAX_OPERATOR_DEGREE, BasisTag
@@ -428,13 +428,19 @@ def test_decompose_zero_spinor(tmp_path, capsys):
 
 
 def test_decompose_mixed_homogeneity_splits(tmp_path, capsys):
-    s = Spinor(XY, {(0, 0): QPoly([1]), (1, 0): QPoly([1])})
-    path = write_spinor(tmp_path, s)
-    code, out, _ = run(capsys, "decompose", path, "--format", "json")
-    assert code == 0
-    data = json.loads(out)
-    degrees = [(c["homogeneity"], c["power"]) for c in data["components"]]
-    assert degrees == [(0, 0), (1, 0), (0, 1)]
+    # parts in ascending degree, each in ascending power; the degree-3 part of the second
+    # input is m0 + X_s^2 m2, with no power-1 layer
+    xs = operators.named_operator("xs", ZZ)
+    cases = [
+        (Spinor(XY, {(0, 0): QPoly([1]), (1, 0): QPoly([1])}), [(0, 0), (1, 0), (0, 1)]),
+        (monogenic_plus(3) + xs.apply(xs.apply(monogenic_plus(1)))
+         + xs.apply(monogenic_plus(0)) + monogenic_plus(0).scale(2),
+         [(0, 0), (0, 1), (3, 0), (1, 2)]),
+    ]
+    for s, want in cases:
+        code, out, _ = run(capsys, "decompose", write_spinor(tmp_path, s), "--format", "json")
+        assert code == 0
+        assert [(c["homogeneity"], c["power"]) for c in json.loads(out)["components"]] == want
 
 
 def _dense_spinor(basis, l):

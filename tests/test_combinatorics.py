@@ -7,7 +7,6 @@ from symtwistor.combinatorics import (
     a_table_from_power,
     q_dq_entries,
     stirling,
-    stirling_from_power,
     stirling_tilde,
     stirling_tilde_collapse,
 )
@@ -48,40 +47,30 @@ def test_xs_power_expand_square():
 
 
 def test_stirling_known_row():
-    assert [stirling(4, m) for m in range(1, 5)] == [1, 7, 6, 1]
-    assert stirling(1, 1) == 1
-    assert stirling(6, 6) == 1
-    assert stirling(6, 1) == 1
+    assert stirling(4) == {1: 1, 2: 7, 3: 6, 4: 1}
+    assert stirling(1) == {1: 1}
+    assert stirling(6)[6] == 1
+    assert stirling(6)[1] == 1
 
 
 def test_stirling_against_normal_order():
     qdq = WeylOperator.generator(BasisTag.XY, "q") * WeylOperator.generator(BasisTag.XY, "dq")
-    for n, power in enumerate(qdq.powers(7)[1:], 1):
-        for m in range(1, n + 2):
-            assert stirling(n, m) == stirling_from_power(power, n, m)
+    for n, power in enumerate(qdq.powers(7)):
+        assert {(m, m): s for m, s in stirling(n).items()} == q_dq_entries(power)
 
 
-@pytest.mark.parametrize("n, m", [(0, 0), (2, 0), (0, 1)])
-def test_stirling_from_power_has_the_domain_of_stirling(n, m):
-    qdq = WeylOperator.generator(BasisTag.XY, "q") * WeylOperator.generator(BasisTag.XY, "dq")
-    with pytest.raises(ValueError):
-        stirling(n, m)
-    with pytest.raises(ValueError):
-        stirling_from_power(qdq**n, n, m)
-
-
-def test_stirling_from_power_refuses_a_power_outside_q_and_dq():
+def test_q_dq_entries_refuses_a_power_outside_q_and_dq():
     q, dq, x = (WeylOperator.generator(BasisTag.XY, name) for name in ("q", "dq", "x"))
     with pytest.raises(AssertionError, match="is not in q and dq alone"):
-        stirling_from_power(q * dq + x, 1, 1)
+        q_dq_entries(q * dq + x)
 
 
 def test_stirling_out_of_range():
-    with pytest.raises(ValueError):
-        stirling(0, 1)
-    with pytest.raises(ValueError):
-        stirling(3, 0)
-    assert stirling(3, 4) == 0  # above the diagonal the expansion has no term
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        stirling(-1)
+    assert stirling(0) == {0: 1}  # (q dq)^0 is the identity
+    # for n >= 1 no m = 0 entry, and none above the diagonal
+    assert set(stirling(3)) == {1, 2, 3}
 
 
 def test_stirling_tilde_base_and_displays():

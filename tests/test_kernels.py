@@ -470,6 +470,16 @@ def test_howe_decompose_mixed_layers():
     assert comps[1].monogenic == monogenic_plus(1)
 
 
+def test_howe_decompose_lists_powers_ascending_and_leaves_out_a_vanishing_layer():
+    # m0 + X_s^2 m2: the power-1 remainder vanishes, so the powers are [0, 2]
+    xs_z = named_operator("xs", ZZ)
+    s = monogenic_plus(3) + xs_z.apply(xs_z.apply(monogenic_plus(1)))
+    comps = howe_decompose(s)
+    assert [(c.homogeneity, c.power) for c in comps] == [(3, 0), (1, 2)]
+    assert comps[0].monogenic == monogenic_plus(3)
+    assert comps[1].monogenic == monogenic_plus(1)
+
+
 def test_howe_decompose_zero_and_errors():
     assert howe_decompose(Spinor.zero(ZZ)) == []
     mixed = Spinor(ZZ, {(1, 0): QPoly([1]), (2, 0): QPoly([1])})

@@ -7,6 +7,7 @@ Each fault of the fault table is planted by monkeypatching. It must turn
 its check red (status fail or error), and that check must be green
 without it. Operator faults are planted in the registry
 (`operators._BUILDERS`), the one place where checks read operators.
+For the faults of RED_SETS, the whole set of checks they turn red is pinned.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -137,7 +139,7 @@ def _stirling_tilde_3_off_by_one(monkeypatch):
 
 
 def _stirling_5_2_off_by_one(monkeypatch):
-    _wrap(monkeypatch, comb_mod, "stirling", lambda s, n, m: s + 1 if (n, m) == (5, 2) else s)
+    _one_entry_plus_one(monkeypatch, "stirling", 5, 2)
 
 
 def _plus(monkeypatch, name, extra):
@@ -221,18 +223,15 @@ def _twistor_basis_first_doubled(monkeypatch):
     _wrap(monkeypatch, ker, "twistor_kernel_basis", lambda basis, m: [basis[0].scale(2), *basis[1:]])
 
 
-def _weighted_dq_plus_q3(monkeypatch):
-    genuine = QPoly.weighted_dq
-    monkeypatch.setattr(QPoly, "weighted_dq", lambda p: genuine(p) + QPoly.monomial(3))
-
-
 def _dq_negated(monkeypatch):
-    """The numerator map behind QPoly.weighted_dq and the Dq chain and rows of apply, negated.
+    """The numerator map behind the Dq chain and rows of apply, negated.
 
-    The registry cache is emptied, so no rows grown before the fault hide it.
+    The registry cache and the unit-fill cache are swapped for empty ones, so no
+    rows or fills made before the fault hide it, and none made under it outlive it.
     """
     _wrap(monkeypatch, spinor_mod, "_dq", lambda v, *_: tuple(-x for x in v))
     monkeypatch.setattr(operators, "_BUILT", {})
+    monkeypatch.setattr(ker, "_unit_fill", lru_cache(ker.FILL_CACHE_SIZE)(ker._unit_fill.__wrapped__))
 
 
 def _unit_images_unweighted(monkeypatch):
@@ -350,7 +349,6 @@ FAULTS = [
     (_unit_images_unweighted, "oracle.recursion-vs-linear"),
     (_unit_images_skip_chain_side, "oracle.recursion-vs-linear"),
     (_twistor_basis_first_doubled, "twistor-basis.annihilation"),
-    (_weighted_dq_plus_q3, "holomorphic.ode"),
     (_dq_negated, "holomorphic.ode"),
     (_dq_negated, "ladder.constants"),
     (_dq_negated, "howe.roundtrip"),
@@ -459,3 +457,43 @@ def test_planted_fault_turns_its_check_red(monkeypatch, plant, check_id):
     result = _run_one(check_id)
     assert result.status in ("fail", "error"), result
     assert result.witness
+
+
+# (fault, every check it turns red but sl2.ds-xs), each set measured by planting the
+# fault and running the whole suite once
+RED_SETS = [
+    (_dq_negated, {
+        "casimir.scalar", "displays.ts-xs-powers", "displays.xs-on-constants", "exclusion.sweep",
+        "holomorphic.family", "holomorphic.ode", "howe.roundtrip", "ladder.constants",
+        "minus-exclusion.values", "monogenic-minus.displays", "monogenic-minus.family",
+        "oracle.recursion-vs-linear", "random.ds-odd-to-twistor", "random.twistor-in-ds2",
+        "twistor-basis.annihilation", "twistor-basis.displays",
+    }),
+    (_stirling_5_2_off_by_one, {"stirling.match"}),
+]
+
+
+@pytest.mark.parametrize("plant, red", RED_SETS, ids=[plant.__name__[1:] for plant, _ in RED_SETS])
+def test_planted_fault_turns_exactly_its_red_set_red(monkeypatch, plant, red):
+    plant(monkeypatch)
+    results = verify_mod.run_suite("all").results
+    assert {r.id for r in results if r.status != "pass"} - {"sl2.ds-xs"} == red
+
+
+def test_a_stirling_row_fault_fails_by_value(monkeypatch):
+    _stirling_5_2_off_by_one(monkeypatch)
+    result = _run_one("stirling.match")
+    assert (result.status, result.witness) == (
+        "fail", "n=5: got {(1, 1): 1, (2, 2): 16, (3, 3): 25, (4, 4): 10, (5, 5): 1}")
+
+
+def test_the_dq_fault_leaves_no_unit_fill_behind():
+    # a fill made under the fault and kept in _unit_fill would hold the oracle red after the undo
+    ker._unit_fill.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as inner:
+            _dq_negated(inner)
+            assert _run_one("oracle.recursion-vs-linear").status == "error"
+        assert _run_one("oracle.recursion-vs-linear").status == "pass"
+    finally:
+        ker._unit_fill.cache_clear()
