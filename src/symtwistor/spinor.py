@@ -330,7 +330,7 @@ def _nonzero(re: tuple, im: tuple) -> list:
 
 
 class Spinor(_Value):
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis", "terms", "_image")  # _image: see WeylOperator.apply
 
     def __init__(self, basis: BasisTag, terms: Mapping[Tuple[int, int], QPoly]):
         clean = {}
@@ -344,6 +344,7 @@ class Spinor(_Value):
                 clean[key] = poly
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_image", None)
 
     # ---- constructors ----
 

@@ -268,9 +268,20 @@ class WeylOperator(_Value):
     # ---- action on spinors ----
 
     def apply(self, spinor):
-        """Act on a weight-stripped Spinor (Dq acts as d/dq - q)."""
+        """Act on a weight-stripped Spinor (Dq acts as d/dq - q).
+
+        A spinor that apply did not return keeps its image under the last operator applied
+        to it, keyed on the operator object, as long as it lives: a repeat returns that image.
+        """
         _require_same_basis(self, spinor)
-        return _act(self, spinor)
+        seen = spinor._image
+        if seen is not None and seen[0] is self:
+            return seen[1]
+        out = _act(self, spinor)
+        _set_image(out, _AN_IMAGE)
+        if seen is not _AN_IMAGE:
+            _set_image(spinor, (self, out))
+        return out
 
     # ---- structure / rendering ----
 
@@ -330,4 +341,6 @@ def substitute(forms, keys) -> dict:
 
 
 # spinor imports from this module, so _act is imported after this module's names exist
-from .spinor import _act  # noqa: E402
+from .spinor import Spinor, _act  # noqa: E402
+_set_image = Spinor._image.__set__
+_AN_IMAGE = (None, None)  # the _image of every spinor apply returned: matches no operator

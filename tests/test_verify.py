@@ -228,6 +228,8 @@ def _dq_negated(monkeypatch):
 
     The registry cache and the unit-fill cache are swapped for empty ones, so no
     rows or fills made before the fault hide it, and none made under it outlive it.
+    A spinor remembers its image keyed on the operator object, and the swapped
+    registry hands out new objects, so no remembered image hides it either.
     """
     _wrap(monkeypatch, spinor_mod, "_dq", lambda v, *_: tuple(-x for x in v))
     monkeypatch.setattr(operators, "_BUILT", {})
@@ -470,6 +472,23 @@ RED_SETS = [
         "twistor-basis.annihilation", "twistor-basis.displays",
     }),
     (_stirling_5_2_off_by_one, {"stirling.match"}),
+    (_ds_plus_one, {
+        "casimir.scalar", "howe.roundtrip", "ladder.constants", "minus-exclusion.values",
+        "monogenic-minus.displays", "monogenic-minus.family", "oracle.recursion-vs-linear",
+        "random.ds-odd-to-twistor", "random.twistor-in-ds2", "sl2.euler-ds",
+        "twistor-basis.annihilation", "twistor-basis.displays", "zbasis.ds", "zbasis.ds2",
+    }),
+    (_xs_plus_q, {
+        "a-table.match", "casimir.central", "casimir.scalar", "cross.xs-rhoH", "cross.xs-rhoY",
+        "displays.ts-xs-powers", "displays.xs-on-constants", "exclusion.sweep", "howe.roundtrip",
+        "ladder.constants", "sl2.euler-xs", "twistor-basis.annihilation", "twistor-basis.displays",
+        "zbasis.xs",
+    }),
+    (_ts_plus_one, {
+        "displays.ts-xs-powers", "holomorphic.family", "minus-exclusion.values",
+        "oracle.recursion-vs-linear", "random.ds-odd-to-twistor", "random.twistor-in-ds2",
+        "twistor-basis.annihilation", "zbasis.ts",
+    }),
 ]
 
 
@@ -497,3 +516,16 @@ def test_the_dq_fault_leaves_no_unit_fill_behind():
         assert _run_one("oracle.recursion-vs-linear").status == "pass"
     finally:
         ker._unit_fill.cache_clear()
+
+
+def test_a_planted_operator_is_a_new_key_for_remembered_images():
+    ds = operators.named_operator("ds")
+    s = Spinor(BasisTag.XY, {(1, 0): QPoly([1, 0, 2]), (0, 1): QPoly([0, 1])})
+    first = ds.apply(s)
+    with pytest.MonkeyPatch.context() as inner:
+        _dq_negated(inner)
+        faulty = operators.named_operator("ds").apply(s)
+        # an equal operator and spinor, both new objects: nothing remembered, no plan kept
+        assert faulty == WeylOperator(ds.basis, dict(ds.terms)).apply(Spinor(s.basis, s.terms))
+        assert faulty != first
+    assert ds.apply(s) == first

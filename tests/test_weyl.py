@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symtwistor.weyl as weyl_mod
 from symtwistor.exactnum import G, I
 from symtwistor.kernels import linear_combination
+from symtwistor.operators import named_operator
 from symtwistor.spinor import QPoly, Spinor
 from symtwistor.weyl import BasisMismatchError, BasisTag, WeylOperator
 
@@ -247,6 +249,67 @@ def test_apply_is_composition_action():
     op2 = gen("q").compose(gen("dx"))
     s = Spinor(XY, {(2, 0): QPoly([1, 2]), (0, 1): QPoly([0, 0, Fraction(1, 3)])})
     assert op1.compose(op2).apply(s) == op1.apply(op2.apply(s))
+
+
+def _spied_act(monkeypatch):
+    """A list that gets the operator of each weyl._act call from here on."""
+    calls = []
+    genuine = weyl_mod._act
+
+    def spied(op, spinor):
+        calls.append(op)
+        return genuine(op, spinor)
+
+    monkeypatch.setattr(weyl_mod, "_act", spied)
+    return calls
+
+
+def _mixed_spinor():
+    return Spinor(XY, {(2, 0): QPoly([1, 2]), (0, 1): QPoly([0, 0, Fraction(1, 3)])})
+
+
+def test_a_repeated_apply_returns_the_same_image_and_acts_once(monkeypatch):
+    calls = _spied_act(monkeypatch)
+    op, s = gen("dq").compose(gen("x")) + gen("y").scale(I), _mixed_spinor()
+    first = op.apply(s)
+    assert op.apply(s) is first
+    assert calls == [op]
+    assert first == op.apply(_mixed_spinor())  # an equal spinor is another object: acted on anew
+    assert len(calls) == 2
+
+
+def test_another_operator_recomputes_and_replaces_the_remembered_image(monkeypatch):
+    calls = _spied_act(monkeypatch)
+    a, s = gen("x") * gen("dq"), _mixed_spinor()
+    image_a = a.apply(s)
+    image_b = gen("dx").apply(s)
+    assert s._image[1] is image_b
+    again = a.apply(s)
+    assert again == image_a and again is not image_a
+    equal_op = WeylOperator(XY, dict(a.terms))  # equal, but the memo keys on the object
+    assert equal_op.apply(s) == image_a
+    assert len(calls) == 4
+
+
+def test_a_basis_mismatch_is_refused_with_an_image_remembered(monkeypatch):
+    calls = _spied_act(monkeypatch)
+    op, s = gen("x"), _mixed_spinor()
+    op.apply(s)
+    with pytest.raises(BasisMismatchError):
+        op.change_basis(ZZ).apply(s)
+    assert len(calls) == 1
+
+
+def test_an_image_carries_the_marker_and_remembers_nothing():
+    xs = named_operator("xs")
+    s = x = _mixed_spinor()
+    images = []
+    for _ in range(5):
+        x = xs.apply(x)
+        images.append(x)
+    assert s._image[0] is xs and s._image[1] is images[0]
+    assert all(image._image is weyl_mod._AN_IMAGE for image in images)
+    assert xs.apply(images[0]) == images[1] and images[0]._image is weyl_mod._AN_IMAGE
 
 
 def test_str_rendering():
