@@ -12,12 +12,11 @@ an input, anything else is solved bottom-up. A window (kind, m, qmax)
 fixes all its relations, so they are compiled once into a program, cached
 (_program, at most PROGRAM_CACHE_SIZE windows) and shared by every fill of
 that window. Row 0 holds the seed A^0; the inputs above it are reported as
-named free parameters instead of guessed. A free element and its residual
-do not depend on the seed: each is computed once per (operator, kind, m,
-qmax, slot) and cached (_unit_fill, at most FILL_CACHE_SIZE entries).
-Every returned element is verified by exact operator application; a
-residual supported strictly below the truncation boundary is a solver bug
-and raises, on every call.
+named free parameters instead of guessed. A free element does not depend
+on the seed: it is filled once per (relation, kind, m, qmax, slot) and
+cached (_unit_fill, at most FILL_CACHE_SIZE entries). Every returned
+element is checked on every call by applying its operator (an image it
+remembers); a residual term below the truncation boundary raises.
 
 kernel_linear_solve is the independent oracle: plain exact linear
 algebra over Q(i) on the coefficient space, no recursion involved.
@@ -189,14 +188,13 @@ def _fill(kind: RecursionKind, m: int, qmax: int, inputs) -> Spinor:
     return Spinor(BasisTag.ZZBAR, {(r, m - r): _from_terms(row) for r, row in rows.items()})
 
 
-FILL_CACHE_SIZE = 1 << 10  # bound on the unit fills _unit_fill holds, with their residuals
+FILL_CACHE_SIZE = 1 << 10  # bound on the unit fills _unit_fill holds
 
 
 @lru_cache(maxsize=FILL_CACHE_SIZE)
-def _unit_fill(op: WeylOperator, kind: RecursionKind, m: int, qmax: int, slot: Tuple[int, int]):
-    """(fill with slot one, other inputs zero; op applied to it). A rebound op is a new key."""
-    element = _fill(kind, m, qmax, {slot: ONE})
-    return element, op.apply(element)
+def _unit_fill(relation, kind: RecursionKind, m: int, qmax: int, slot: Tuple[int, int]) -> Spinor:
+    """Fill with slot one, other inputs zero; the key holds relation, the _relation _fill reads."""
+    return _fill(kind, m, qmax, {slot: ONE})
 
 
 def _classify_residual(residual: Spinor, qmax: int) -> bool:
@@ -225,8 +223,8 @@ def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> Kern
     zero); each further element corresponds to one free parameter set to
     one with a zero seed. The free parameters are the input slots above
     row 0: a[r][0] where the leading factor vanishes, plus the whole a[1]
-    row for the second-order kinds. Free elements and their residuals are
-    computed once per (operator, kind, m, qmax, slot), and classified on every call.
+    row for the second-order kinds. Free elements are filled once per window and
+    relation (_unit_fill); each residual, apply's remembered image, is classified on every call.
     """
     _check_window(m, qmax)
     if seed.parity() != EVEN:
@@ -237,16 +235,15 @@ def solve_recursion(kind: RecursionKind, m: int, seed: QPoly, qmax: int) -> Kern
     op = operator_for_kind(kind)
     free = [slot for slot in _inputs(kind, m, qmax) if slot[0] > 0]
     seeded = _fill(kind, m, qmax, {(0, k): seed.coefficient(k) for k in range(0, qmax + 1, 2)})
-    pairs = ([(seeded, op.apply(seeded))] if not seeded.is_zero() else []) + [
-        _unit_fill(op, kind, m, qmax, slot) for slot in free
-    ]
+    basis = [seeded] if not seeded.is_zero() else []
+    basis += [_unit_fill(_relation, kind, m, qmax, slot) for slot in free]
     return KernelFamily(
         homogeneity=m,
         kind=kind,
         qmax=qmax,
-        basis=tuple(e for e, _ in pairs),
+        basis=tuple(basis),
         free_parameters=tuple(f"a[r={r},k={k}]" for r, k in free),
-        extends_beyond_truncation=tuple(_classify_residual(res, qmax) for _, res in pairs),
+        extends_beyond_truncation=tuple(_classify_residual(op.apply(e), qmax) for e in basis),
     )
 
 
@@ -258,8 +255,8 @@ def recursion_span(kind: RecursionKind, m: int, qmax: int) -> List[Spinor]:
     """
     _check_window(m, qmax)
     op = operator_for_kind(kind)
-    elements, residuals = zip(*(_unit_fill(op, kind, m, qmax, slot)
-                                for slot in _inputs(kind, m, qmax)))
+    elements = [_unit_fill(_relation, kind, m, qmax, slot) for slot in _inputs(kind, m, qmax)]
+    residuals = [op.apply(e) for e in elements]
     for residual in residuals:
         _classify_residual(residual, qmax)
     columns, nrows = spinor_columns(residuals)

@@ -99,13 +99,12 @@ def _contractions(d: int, a: int) -> tuple:
 
 
 class WeylOperator(_Value):
-    __slots__ = ("basis", "terms", "_plan", "_hash")
+    __slots__ = ("basis", "terms", "_plan")
 
     def __init__(self, basis: BasisTag, terms: Mapping[Monomial, GaussianRational]):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "terms", _clean_terms(terms))
         object.__setattr__(self, "_plan", None)  # spinor._plan builds it on first use
-        object.__setattr__(self, "_hash", None)  # __hash__ computes it on the first call
 
     # ---- constructors ----
 
@@ -148,6 +147,9 @@ class WeylOperator(_Value):
         if not isinstance(other, WeylOperator):
             other = WeylOperator.scalar(self.basis, other)
         return self + (-other)
+
+    def __rsub__(self, other) -> "WeylOperator":
+        return -self + other
 
     def __neg__(self) -> "WeylOperator":
         return WeylOperator(self.basis, {m: -c for m, c in self.terms.items()})
@@ -294,9 +296,7 @@ class WeylOperator(_Value):
         return self.basis is other.basis and self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.basis, frozenset(self.terms.items()))))
-        return self._hash
+        return hash((self.basis, frozenset(self.terms.items())))
 
     def _render(self, style: _Style) -> str:
         names = (GENERATOR_LATEX if style is _LATEX else GENERATOR_NAMES)[self.basis]

@@ -40,6 +40,7 @@ from symtwistor.kernels import (
     verify_exclusion,
 )
 from symtwistor import operators, verify
+from symtwistor import weyl as weyl_mod
 from symtwistor.operators import build_ds, named_operator
 from symtwistor.parsing import parse_operator
 from symtwistor.spinor import EVEN, ODD, QPoly, Spinor, _unit_images
@@ -202,6 +203,19 @@ def test_recursion_span_fills_once_per_input(kind, monkeypatch):
     )
 
 
+def _spied_act(monkeypatch):
+    """A list that gets the operator of each weyl._act call from here on."""
+    calls = []
+    genuine = weyl_mod._act
+
+    def spied(op, spinor):
+        calls.append(op)
+        return genuine(op, spinor)
+
+    monkeypatch.setattr(weyl_mod, "_act", spied)
+    return calls
+
+
 def test_free_elements_are_filled_and_applied_once_per_window(monkeypatch):
     kind, m, qmax = RecursionKind.DS2_EVEN, 5, 16
     seeds = [  # unitriangular: q^j plus rational lower even terms
@@ -209,18 +223,15 @@ def test_free_elements_are_filled_and_applied_once_per_window(monkeypatch):
         for j in range(0, qmax + 1, 2)
     ]
     assert len(seeds) == 9
+    free = len(_expected_free_slots(kind, m, qmax))
     operator_for_kind(kind)  # built outside the count
-    applies = []
-    genuine = WeylOperator.apply
-
-    def counting(self, spinor):
-        applies.append(spinor)
-        return genuine(self, spinor)
-
     kernels_mod._unit_fill.cache_clear()
-    monkeypatch.setattr(WeylOperator, "apply", counting)
+    acts = _spied_act(monkeypatch)
     families = [solve_recursion(kind, m, seed, qmax) for seed in seeds]
-    assert len(applies) == len(_expected_free_slots(kind, m, qmax)) + len(seeds)
+    # each seeded element is acted on; each free element once, then its image is remembered
+    assert len(acts) == free + len(seeds)
+    info = kernels_mod._unit_fill.cache_info()
+    assert (info.hits, info.misses) == ((len(seeds) - 1) * free, free)
     monkeypatch.undo()
     for seed, family in zip(seeds, families):
         kernels_mod._unit_fill.cache_clear()
@@ -246,16 +257,23 @@ def test_unit_fill_cache_follows_a_rebound_registry_operator(monkeypatch):
     assert solve_recursion(kind, m, QPoly(), qmax).to_json() == family.to_json()
 
 
-def test_equal_operators_built_apart_share_one_unit_fill():
-    kind, m, qmax, slot = RecursionKind.DS_EVEN, 2, 6, (0, 0)
+def test_equal_operators_built_apart_share_one_unit_fill(monkeypatch):
+    kind, m, qmax = RecursionKind.DS_EVEN, 2, 6
     a = operator_for_kind(kind)
-    b = WeylOperator(a.basis, dict(a.terms))
-    assert a is not b and a == b and hash(a) == hash(b)
     kernels_mod._unit_fill.cache_clear()
-    assert kernels_mod._unit_fill(a, kind, m, qmax, slot) is kernels_mod._unit_fill(
-        b, kind, m, qmax, slot)
+    first = solve_recursion(kind, m, QPoly(), qmax)  # zero seed: free elements only
+    monkeypatch.setattr(operators, "_BUILT", {})
+    b = operator_for_kind(kind)
+    assert a is not b and a == b and hash(a) == hash(b)
+    acts = _spied_act(monkeypatch)
+    again = solve_recursion(kind, m, QPoly(), qmax)
+    assert first.basis and all(x is y for x, y in zip(again.basis, first.basis))
     info = kernels_mod._unit_fill.cache_info()
-    assert (info.hits, info.currsize) == (1, 1)
+    assert (info.hits, info.currsize) == (len(first.basis), len(first.basis))
+    # the fill remembers a's image, not b's: one act each, with equal residuals
+    assert acts == [b] * len(first.basis)
+    assert [b.apply(e) for e in again.basis] == [a.apply(e) for e in first.basis]
+    assert again.extends_beyond_truncation == first.extends_beyond_truncation
 
 
 def _reference_fill(kind, m, qmax, inputs):

@@ -49,13 +49,16 @@ def test_unknown_generator_name():
 def test_scalar_coercions_in_arithmetic():
     x = gen("x")
     assert x + 1 - 1 == x
+    assert 1 - x == -x + 1
+    assert Fraction(1, 2) - x == (x - Fraction(1, 2)).scale(-1)
     assert (x * Fraction(1, 2)).scale(2) == x
     assert 3 * x == x.scale(3)
     assert (x * I).scale(-I) == x
 
 
 @pytest.mark.parametrize("other", [1.5, None, "a"], ids=repr)
-@pytest.mark.parametrize("combine", [lambda a, b: a + b, lambda a, b: a - b], ids=["+", "-"])
+@pytest.mark.parametrize(
+    "combine", [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: b - a], ids=["+", "-", "r-"])
 def test_sum_with_a_non_scalar_is_the_scalar_type_error(combine, other):
     # the error x * 1.5 gives
     with pytest.raises(TypeError, match="expected int or Fraction, got"):
@@ -212,7 +215,7 @@ def _apply_to_vacuum(op):
 def test_hash_is_kept_and_unchanged_by_the_apply_plan():
     op = gen("x") * gen("dq") + gen("q") * 3
     first = hash(op)
-    assert op._hash == first and op._plan is None
+    assert op._plan is None
     _apply_to_vacuum(op)
     assert op._plan is not None and hash(op) == first
     assert hash(WeylOperator(XY, dict(op.terms))) == first
